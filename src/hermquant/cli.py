@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class RunConfig:
     tol: float = 1e-10
     dim: int = 12
     seed: int = 20240901
-    extras: dict = field(default_factory=dict)
 
 
 def _config(args) -> RunConfig:
@@ -417,8 +416,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, IndexError, PoleError, NonConvergence,
-            HintViolation, TailError) as exc:
+    except (ValueError, KeyError, IndexError, OverflowError, PoleError,
+            NonConvergence, HintViolation, TailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -173,10 +173,6 @@ def ground_projector(N: int) -> TruncatedOperator:
     return _wrap(m, (0, 0), None)
 
 
-def identity_operator(N: int) -> TruncatedOperator:
-    return _wrap(exact_eye(N), (0, 0), None)
-
-
 def exact_commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return exact_sub(exact_matmul(a, b), exact_matmul(b, a))
 

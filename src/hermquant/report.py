@@ -31,10 +31,3 @@ class CheckResult:
         d["passed"] = bool(d["passed"])
         return d
 
-
-def all_passed(checks) -> bool:
-    return all(c.passed for c in checks)
-
-
-def worst(checks) -> float:
-    return max((c.max_residual for c in checks), default=0.0)

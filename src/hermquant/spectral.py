@@ -8,9 +8,11 @@ eigenvalues that carry the discrete spectral measure via Golub-Welsch, and
 even/odd factorizations through associated Laguerre polynomials built from
 terminating 3F2 sums.
 
-Exact polynomial arithmetic uses Fractions; float evaluation switches to a
-compensated (error-free transformation) Horner beyond degree 15, where naive
-evaluation near roots loses digits.
+Eigenvalues come from Sturm bisection on the float Jacobi matrix (tridiag);
+the exact polynomials serve the identity checks.  Exact polynomial
+arithmetic uses Fractions; float evaluation switches to a compensated
+(error-free transformation) Horner beyond degree 15, where naive evaluation
+near roots loses digits.
 """
 
 from __future__ import annotations
@@ -90,19 +92,6 @@ class PolyExact:
 
     def __repr__(self):
         return f"PolyExact({list(self.coeffs)})"
-
-    def scaled(self, c) -> "PolyExact":
-        return PolyExact([c * a for a in self.coeffs])
-
-    def derivative(self) -> "PolyExact":
-        return PolyExact([k * a for k, a in enumerate(self.coeffs)][1:] or [0])
-
-    def eval_exact(self, x):
-        x = Fraction(x)
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * x + a
-        return acc
 
     def __call__(self, x: float) -> float:
         desc = [float(a) for a in reversed(self.coeffs)]
@@ -188,28 +177,9 @@ def char_poly(n: int, s: int) -> PolyExact:
 
 
 def eigenvalues(n: int, s: int) -> np.ndarray:
-    """Eigenvalues of the n-section, ascending: Sturm bisection plus one
-    guarded Newton step on the exact characteristic polynomial.
-
-    Bisection already converges to the last ulp, so the Newton step is
-    accepted only within a few-ulp trust radius; larger proposals are
-    evaluation noise of the high-degree polynomial, not information.
-    """
-    jm = JacobiMatrix(s, n)
-    lam = tridiag.eigenvalues(np.zeros(n), jm.offdiag())
-    q = monic_q(n, s)
-    dq = q.derivative()
-    eps = np.finfo(float).eps
-    polished = np.empty_like(lam)
-    for i, x in enumerate(lam):
-        fx = q(x)
-        dfx = dq(x)
-        polished[i] = x
-        if dfx != 0.0:
-            y = x - fx / dfx
-            if abs(y - x) <= 32.0 * eps * max(1.0, abs(x)) and abs(q(y)) <= abs(fx):
-                polished[i] = y
-    return polished
+    """Eigenvalues of the n-section, ascending, by Sturm bisection on the
+    Jacobi matrix (see tridiag.eigenvalues)."""
+    return tridiag.eigenvalues(np.zeros(n), JacobiMatrix(s, n).offdiag())
 
 
 @dataclass(frozen=True)
@@ -264,7 +234,6 @@ class DivergenceReport:
     n_terms: int
     partial_sum: float
     rate_estimate: float
-    monotone: bool
 
     def exceeds(self, threshold: float) -> bool:
         return self.partial_sum > threshold
@@ -281,7 +250,7 @@ def selfadjointness_divergence_test(s: int, n_terms: int) -> DivergenceReport:
     total = carleman_partial_sum(s, n_terms)
     rate = 2.0 * (math.sqrt(s + n_terms) - math.sqrt(float(s)))
     return DivergenceReport(s=s, n_terms=n_terms, partial_sum=total,
-                            rate_estimate=rate, monotone=True)
+                            rate_estimate=rate)
 
 
 def _pole_scan_pochhammer(base: Fraction, count: int, what: str):

@@ -1,9 +1,8 @@
 """Symmetric tridiagonal eigenvalue machinery.
 
-Sturm-count bisection (vectorized over all roots) with a safeguarded Newton
-polish on the characteristic polynomial evaluated by the three-term
-recurrence, plus inverse-iteration eigenvectors.  Everything is deterministic:
-fixed iteration counts, fixed start vectors, no randomness.
+Sturm-count bisection, vectorized over all roots, gives the eigenvalues;
+Golub-Welsch weights come from the three-term recurrence at those nodes.
+Everything is deterministic: fixed iteration counts, no randomness.
 """
 
 from __future__ import annotations
@@ -36,38 +35,15 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarra
     return count
 
 
-def _charpoly_newton(diag, off, xs, lo, hi, steps=3):
-    """Newton steps on det(x*I - T) via the scaled three-term recurrence.
+def eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric tridiagonal (diag, off), ascending.
 
-    Iterates are clamped to their bisection brackets [lo, hi], so a bad step
-    can never leave the isolating interval.
+    Each root is isolated by bisection on Sturm counts from a Gershgorin
+    bracket; the returned values are the bracket midpoints.  Sixty halvings
+    leave each bracket 2^-60 of the Gershgorin span wide, below one ulp of
+    the largest eigenvalue in magnitude, so the Sturm counts and not the
+    iteration limit set the accuracy.
     """
-    off2 = np.asarray(off, dtype=float) ** 2
-    n = len(diag)
-    for _ in range(steps):
-        p_prev = np.zeros_like(xs)
-        p = np.ones_like(xs)
-        dp_prev = np.zeros_like(xs)
-        dp = np.zeros_like(xs)
-        for k in range(n):
-            e2 = off2[k - 1] if k > 0 else 0.0
-            p_new = (xs - diag[k]) * p - e2 * p_prev
-            dp_new = p + (xs - diag[k]) * dp - e2 * dp_prev
-            p_prev, p = p, p_new
-            dp_prev, dp = dp, dp_new
-            big = np.abs(p) > 1e120
-            if big.any():
-                scale = np.where(big, 1e-120, 1.0)
-                p_prev, p = p_prev * scale, p * scale
-                dp_prev, dp = dp_prev * scale, dp * scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dp != 0.0, p / dp, 0.0)
-        xs = np.clip(xs - step, lo, hi)
-    return xs
-
-
-def eigenvalues(diag: np.ndarray, off: np.ndarray, bisect_iters: int = 60) -> np.ndarray:
-    """All eigenvalues of the symmetric tridiagonal (diag, off), ascending."""
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     n = diag.size
@@ -84,75 +60,13 @@ def eigenvalues(diag: np.ndarray, off: np.ndarray, bisect_iters: int = 60) -> np
     lo = np.full(n, np.min(diag - radius) - 2.13e-3 * span)
     hi = np.full(n, np.max(diag + radius) + 0.97e-3 * span)
     targets = np.arange(1, n + 1)
-    for _ in range(bisect_iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         counts = sturm_counts(diag, off, mid)
         below = counts >= targets  # at least k+1 eigenvalues below mid
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-    mid = 0.5 * (lo + hi)
-    return _charpoly_newton(diag, off, mid, lo, hi)
-
-
-def _solve_shifted(diag, off, shift, rhs):
-    """Solve (T - shift*I) v = rhs by tridiagonal LU with partial pivoting."""
-    n = diag.size
-    a = np.concatenate(([0.0], off))          # subdiagonal, a[k] couples k,k-1
-    b = diag - shift                            # main
-    c = np.concatenate((off, [0.0]))           # superdiagonal
-    d = np.zeros(n)                             # fill-in second superdiagonal
-    b = b.copy()
-    c = c.copy()
-    x = np.asarray(rhs, dtype=float).copy()
-    for k in range(n - 1):
-        if abs(a[k + 1]) > abs(b[k]):
-            b[k], a[k + 1] = a[k + 1], b[k]
-            c[k], b[k + 1] = b[k + 1], c[k]
-            d[k], c[k + 1] = c[k + 1], d[k]
-            x[k], x[k + 1] = x[k + 1], x[k]
-        piv = b[k] if b[k] != 0.0 else 1e-300
-        m = a[k + 1] / piv
-        b[k + 1] -= m * c[k]
-        c[k + 1] -= m * d[k]
-        x[k + 1] -= m * x[k]
-    out = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        acc = x[k]
-        if k + 1 < n:
-            acc -= c[k] * out[k + 1]
-        if k + 2 < n:
-            acc -= d[k] * out[k + 2]
-        piv = b[k] if b[k] != 0.0 else 1e-300
-        # prescale before dividing through a near-singular pivot; the caller
-        # normalizes, so a global rescale is harmless
-        if abs(acc) > abs(piv) * 1e120:
-            scale = abs(piv) * 1e120 / abs(acc)
-            out *= scale
-            x *= scale
-            acc *= scale
-        out[k] = acc / piv
-    return out
-
-
-def eigenvector(diag: np.ndarray, off: np.ndarray, eigval: float,
-                iters: int = 2) -> np.ndarray:
-    """Unit eigenvector by inverse iteration from a fixed start vector."""
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    n = diag.size
-    if n == 1:
-        return np.ones(1)
-    # fixed start with no sign symmetry, so it is never orthogonal to the
-    # target eigenvector of these structured matrices
-    v = 1.1 + np.sin(0.7 * np.arange(n) + 0.3)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        v = _solve_shifted(diag, off, eigval, v)
-        peak = np.max(np.abs(v))
-        if peak > 0:
-            v = v / peak  # keep the norm computation from overflowing
-        v /= np.linalg.norm(v)
-    return v
+    return 0.5 * (lo + hi)
 
 
 def first_component_squared(diag: np.ndarray, off: np.ndarray,

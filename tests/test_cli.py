@@ -56,11 +56,15 @@ def test_poly_assoc_hermite_coefficients(capsys):
     assert json.loads(out)["coefficients"] == ["0", "-12", "0", "8"]
 
 
-def test_domain_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "poly", "hermite", "--r", "-1", "--s", "0",
-                           "--z", "1")
+@pytest.mark.parametrize("argv", [
+    ("poly", "hermite", "--r", "-1", "--s", "0", "--z", "1"),
+    ("basis", "normalization", "--s", "1", "--t", "800"),
+    ("poly", "hermite", "--r", "400", "--s", "400", "--z", "1+1i"),
+], ids=["negative-degree", "normalization-overflow", "hermite-overflow"])
+def test_domain_error_exit_code(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_io_error_exit_code(capsys):

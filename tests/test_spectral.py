@@ -99,7 +99,7 @@ def test_interlacing_of_consecutive_sections(s):
 
 @pytest.mark.parametrize("s", range(5))
 def test_eigenvalues_match_lapack_oracle(s):
-    for n in (5, 20, 40):
+    for n in (5, 20, 40, 400):
         jm = JacobiMatrix(s, n)
         ref = eigh_tridiagonal(np.zeros(n), jm.offdiag(), eigvals_only=True)
         assert np.max(np.abs(eigenvalues(n, s) - ref)) < 1e-12
