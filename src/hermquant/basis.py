@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence, TailError
-from .quadrature import QuadratureRule, gauss_laguerre_rule, grid_points, \
-    phase_space_integral
+from .quadrature import gauss_laguerre_rule, grid_points, phase_space_integral
 from .specfun import laguerre, laguerre_many, log_factorial
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # e^t overflows beyond this t
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,10 @@ def normalization(s: int, t: float) -> float:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if t > _LOG_FLOAT_MAX:
+        raise OverflowError(
+            f"N_s(t) at t = {t} overflows a float: e^t exceeds "
+            f"{sys.float_info.max:.4g} beyond t = {_LOG_FLOAT_MAX:.2f}")
     out = math.exp(t)
     for m in range(s):
         out -= (math.factorial(m) / math.factorial(s)
@@ -215,8 +221,7 @@ def reproduce(s: int, z: complex, f, n_max: int, f_degree: float | None = None):
         f_degree = n_max / 2 + s
     n_r = int(math.ceil(n_max / 2 + s + f_degree)) + 8
     m_ang = 2 * n_max + 3
-    base = gauss_laguerre_rule(n_r)
-    rule = QuadratureRule(base.radial_nodes, base.radial_weights, m_ang)
+    rule = gauss_laguerre_rule(n_r, m_ang)
     zg = grid_points(rule)
     t = abs(z) ** 2
     tp = rule.radial_nodes

@@ -182,8 +182,7 @@ def _check_identity(name: str, lhs_fn, rhs_fn, window) -> CheckResult:
         if res > worst:
             worst = res
             witness = repr(idx)
-    return CheckResult(name=name, n_checked=len(window), max_residual=worst,
-                       tol=0.0, passed=worst == 0.0, witness=witness if worst else None)
+    return CheckResult(name, worst, 0.0, len(window), witness)
 
 
 def commutator(op_a: str, op_b: str, idx: SectorIndex) -> WeightedIndexSum:
@@ -292,8 +291,7 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
             if res > worst:
                 worst, witness = res, f"n={n}"
     checks.append(CheckResult("nlpb.raising_chains_build_ground_states",
-                              n_checked=2 * n_max, max_residual=worst, tol=0.0,
-                              passed=worst == 0.0, witness=witness))
+                              worst, 0.0, 2 * n_max, witness))
 
     # p3: a Phi_n = sqrt(eps_n) Phi_{n-1} and b! Psi_n = sqrt(eps_n) Psi_{n-1}
     worst = 0.0
@@ -312,8 +310,7 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
         if res > worst:
             worst, witness = res, f"n={n}"
     checks.append(CheckResult("nlpb.three_halves_power_ladder_rule",
-                              n_checked=2 * n_max, max_residual=worst, tol=0.0,
-                              passed=worst == 0.0, witness=witness))
+                              worst, 0.0, 2 * n_max, witness))
 
     # M = b a equals N_R N_L^2 everywhere, with eigenvalue n^3 on ground states
     window = basis_window(n_max, s_max)
@@ -339,9 +336,8 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
         ratios.append(ratio_sq)
     okgrow = okgrow and all(b > a for a, b in zip(ratios[1:], ratios[2:]))
     checks.append(CheckResult("nlpb.norm_ratio_factorial_growth",
-                              n_checked=n_max + 1, max_residual=0.0 if okgrow else 1.0,
-                              tol=0.0, passed=okgrow,
-                              witness=None if okgrow else "ratio sequence"))
+                              float(not okgrow), 0.0, n_max + 1,
+                              "ratio sequence"))
     return checks
 
 
@@ -387,6 +383,5 @@ def dual_hamiltonian_verify(n_max: int, s: int) -> list:
         if res > worst:
             worst, witness = res, f"n={n}"
     checks.append(CheckResult("dual.transformed_eigenvectors_and_levels",
-                              n_checked=n_max, max_residual=worst, tol=0.0,
-                              passed=worst == 0.0, witness=witness))
+                              worst, 0.0, n_max, witness))
     return checks

@@ -191,9 +191,7 @@ def verify_weyl_commutator(s: int, N: int, epsilon: str) -> CheckResult:
     want = exact_scale(_ones_plus_s_p0(N, s), -eps_sign(epsilon))
     res = exact_max_abs(exact_sub(comm, want))
     return CheckResult(f"matrices.commutator_Az_Azbar.{epsilon}.s{s}",
-                       n_checked=N * N, max_residual=res, tol=0.0,
-                       passed=res == 0.0,
-                       witness=None if res == 0.0 else f"s={s} eps={epsilon}")
+                       res, 0.0, N * N, f"s={s} eps={epsilon}")
 
 
 def verify_almost_canonical(s: int, N: int, epsilon: str) -> CheckResult:
@@ -205,9 +203,7 @@ def verify_almost_canonical(s: int, N: int, epsilon: str) -> CheckResult:
                        ExactC(0, SqrtSum(-eps_sign(epsilon))))
     res = exact_max_abs(exact_sub(comm, want))
     return CheckResult(f"matrices.commutator_Q_P.{epsilon}.s{s}",
-                       n_checked=N * N, max_residual=res, tol=0.0,
-                       passed=res == 0.0,
-                       witness=None if res == 0.0 else f"s={s} eps={epsilon}")
+                       res, 0.0, N * N, f"s={s} eps={epsilon}")
 
 
 def verify_square_identities(s: int, N: int) -> list:
@@ -233,17 +229,14 @@ def verify_square_identities(s: int, N: int) -> list:
         sq = exact_block(exact_matmul(square, square), N)
         res = exact_max_abs(exact_sub(afull, [
             [sq[i][j] + shift[i][j] for j in range(N)] for i in range(N)]))
-        out.append(CheckResult(f"{name}.s{s}", n_checked=N * N,
-                               max_residual=res, tol=0.0, passed=res == 0.0,
-                               witness=None if res == 0.0 else f"s={s}"))
+        out.append(CheckResult(f"{name}.s{s}", res, 0.0, N * N, f"s={s}"))
 
     ah = build_AH(s, N).exact
     hhat = build_Hhat(s, N).exact
     res = exact_max_abs(exact_sub(ah, [
         [hhat[i][j] + shift[i][j] for j in range(N)] for i in range(N)]))
     out.append(CheckResult(f"matrices.AH_equals_Hhat_plus_shift.s{s}",
-                           n_checked=N * N, max_residual=res, tol=0.0,
-                           passed=res == 0.0, witness=None if res == 0.0 else f"s={s}"))
+                           res, 0.0, N * N, f"s={s}"))
 
     half = ExactC(SqrtSum(Fraction(1, 2)))
     aq2 = build_Aq2(s, N).exact
@@ -251,16 +244,14 @@ def verify_square_identities(s: int, N: int) -> list:
     mean = [[(aq2[i][j] + ap2[i][j]) * half for j in range(N)] for i in range(N)]
     res = exact_max_abs(exact_sub(ah, mean))
     out.append(CheckResult(f"matrices.AH_is_mean_of_squares.s{s}",
-                           n_checked=N * N, max_residual=res, tol=0.0,
-                           passed=res == 0.0, witness=None if res == 0.0 else f"s={s}"))
+                           res, 0.0, N * N, f"s={s}"))
 
     hh2 = exact_block(exact_matmul(q, q), N)
     pp2 = exact_block(exact_matmul(p, p), N)
     direct = [[(hh2[i][j] + pp2[i][j]) * half for j in range(N)] for i in range(N)]
     res = exact_max_abs(exact_sub(exact_block(hhat, N), direct))
     out.append(CheckResult(f"matrices.Hhat_matches_direct_P2_plus_Q2_over_2.s{s}",
-                           n_checked=N * N, max_residual=res, tol=0.0,
-                           passed=res == 0.0, witness=None if res == 0.0 else f"s={s}"))
+                           res, 0.0, N * N, f"s={s}"))
     return out
 
 

@@ -204,8 +204,8 @@ class SpectrumRow:
 def spectrum_compare(s_list, N: int = 8, scan_infimum: bool = True) -> list:
     """Side-by-side spectra of the two quantizations per sector.
 
-    The equivalence column is true only at s = 0, where the operators differ
-    by the global shift 1/2.
+    The equivalence column is true iff the diagonals of A_H and Hhat differ
+    by one constant shift; that holds only at s = 0, where the shift is 1/2.
     """
     rows = []
     for s in s_list:
@@ -214,6 +214,7 @@ def spectrum_compare(s_list, N: int = 8, scan_infimum: bool = True) -> list:
         g_a = float(ah[0, 0])
         g_h = float(hh[0, 0])
         inf_q2 = infimum_scan(s)[0] if scan_infimum else s + 0.5
+        shift = np.diag(ah) - np.diag(hh)
         rows.append(SpectrumRow(
             s=s,
             ground_direct=g_a,
@@ -224,6 +225,6 @@ def spectrum_compare(s_list, N: int = 8, scan_infimum: bool = True) -> list:
             first_gap_direct=float(ah[1, 1] - ah[0, 0]),
             first_gap_substituted=float(hh[1, 1] - hh[0, 0]),
             infimum_quantized_q2=inf_q2,
-            physically_equivalent=(s == 0),
+            physically_equivalent=bool(np.ptp(shift) == 0.0),
         ))
     return rows

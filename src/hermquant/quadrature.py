@@ -69,8 +69,7 @@ def rule_for(radial_degree: int, max_angular_freq: int) -> QuadratureRule:
     """
     n_r = max(1, radial_degree // 2 + 8)
     m = 2 * max(0, max_angular_freq) + 3
-    base = gauss_laguerre_rule(n_r)
-    return QuadratureRule(base.radial_nodes, base.radial_weights, angular_count=m)
+    return gauss_laguerre_rule(n_r, m)
 
 
 def phase_space_integral(rule: QuadratureRule, fvals: np.ndarray) -> complex:

@@ -1,33 +1,40 @@
-"""Structured results for identity checks and verification sweeps."""
+"""Structured results for identity checks and verification sweeps.
+
+CheckResult is the one place a verdict is decided: a check passes iff
+max_residual <= tol, so a NaN residual fails, and tol = 0.0 marks checks done
+in exact arithmetic, where anything nonzero is a failure.  The witness names
+the parameters behind the worst residual and is kept only on a failure.
+"""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one verified identity.
+    """Outcome of one verified identity over n_checked cases.
 
-    max_residual is the worst deviation seen; tol = 0.0 marks checks done in
-    exact arithmetic, where anything nonzero is a failure.  witness names the
-    parameters that produced the worst residual (only kept on failure or when
-    informative).
+    A boolean check reports max_residual = float(not ok) with tol = 0.0.
     """
 
     name: str
-    n_checked: int
     max_residual: float
     tol: float
-    passed: bool
+    n_checked: int
     witness: str | None = None
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        # numpy scalars serialize poorly; normalize at the boundary
-        d["n_checked"] = int(d["n_checked"])
-        d["max_residual"] = float(d["max_residual"])
-        d["tol"] = float(d["tol"])
-        d["passed"] = bool(d["passed"])
-        return d
+    def __post_init__(self):
+        if self.passed:
+            object.__setattr__(self, "witness", None)
 
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_residual <= self.tol)
+
+    def to_dict(self) -> dict:
+        # numpy scalars serialize poorly; normalize at the boundary
+        return {"name": self.name, "n_checked": int(self.n_checked),
+                "max_residual": float(self.max_residual),
+                "tol": float(self.tol), "passed": self.passed,
+                "witness": self.witness}

@@ -9,6 +9,7 @@ factorial growth would overflow; exact paths use int/Fraction arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -243,7 +244,12 @@ def complex_hermite_exact(r: int, s: int, z: complex) -> complex:
         br, bi = zbp[j]
         acc_r += c * (ar * br - ai * bi)
         acc_i += c * (ar * bi + ai * br)
-    return complex(float(acc_r), float(acc_i))
+    try:
+        return complex(float(acc_r), float(acc_i))
+    except OverflowError:
+        raise OverflowError(
+            f"h^{{r,s}}(z) at r = {r}, s = {s}, z = {z} exceeds the float "
+            f"limit {sys.float_info.max:.4g}") from None
 
 
 def complex_hermite_laguerre_exact(s: int, n: int, z: complex) -> complex:

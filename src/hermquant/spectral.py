@@ -306,9 +306,8 @@ def assoc_hermite_laguerre_check(n: int, s: int,
     h_even = assoc_hermite(2 * n, s)
     exact_even = PolyExact(even_poly) == h_even
     checks.append(CheckResult(f"spectral.even_laguerre_factorization.n{n}.s{s}",
-                              n_checked=2 * n + 1, max_residual=0.0 if exact_even else 1.0,
-                              tol=0.0, passed=exact_even,
-                              witness=None if exact_even else f"n={n} s={s}"))
+                              float(not exact_even), 0.0, 2 * n + 1,
+                              f"n={n} s={s}"))
 
     odd_lag = assoc_laguerre_coeffs(n, Fraction(1, 2), Fraction(s, 2), True)
     odd_poly = [Fraction(0)] * (2 * n + 2)
@@ -317,9 +316,8 @@ def assoc_hermite_laguerre_check(n: int, s: int,
     h_odd = assoc_hermite(2 * n + 1, s)
     exact_odd = PolyExact(odd_poly) == h_odd
     checks.append(CheckResult(f"spectral.odd_laguerre_factorization.n{n}.s{s}",
-                              n_checked=2 * n + 2, max_residual=0.0 if exact_odd else 1.0,
-                              tol=0.0, passed=exact_odd,
-                              witness=None if exact_odd else f"n={n} s={s}"))
+                              float(not exact_odd), 0.0, 2 * n + 2,
+                              f"n={n} s={s}"))
 
     pts = [0.3 + 0.4 * j for j in range(2 * n + 3)]
     worst = 0.0
@@ -332,7 +330,6 @@ def assoc_hermite_laguerre_check(n: int, s: int,
         rhs = 2 * x * sig * sum(float(cm) * x ** (2 * m) for m, cm in enumerate(odd_lag))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     checks.append(CheckResult(f"spectral.laguerre_factorization_samples.n{n}.s{s}",
-                              n_checked=2 * (2 * n + 3), max_residual=worst,
-                              tol=sample_tol, passed=worst <= sample_tol,
-                              witness=None if worst <= sample_tol else f"n={n} s={s}"))
+                              worst, sample_tol, 2 * (2 * n + 3),
+                              f"n={n} s={s}"))
     return checks

@@ -56,15 +56,18 @@ def test_poly_assoc_hermite_coefficients(capsys):
     assert json.loads(out)["coefficients"] == ["0", "-12", "0", "8"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("poly", "hermite", "--r", "-1", "--s", "0", "--z", "1"),
-    ("basis", "normalization", "--s", "1", "--t", "800"),
-    ("poly", "hermite", "--r", "400", "--s", "400", "--z", "1+1i"),
+@pytest.mark.parametrize("argv, needle", [
+    (("poly", "hermite", "--r", "-1", "--s", "0", "--z", "1"), ""),
+    (("basis", "normalization", "--s", "1", "--t", "800"), "t = 800"),
+    (("poly", "hermite", "--r", "400", "--s", "400", "--z", "1+1i"),
+     "r = 400"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow"])
-def test_domain_error_exit_code(capsys, argv):
+def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    # an overflow names the offending argument
+    assert needle in err
 
 
 def test_io_error_exit_code(capsys):

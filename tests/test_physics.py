@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hermquant import matrices, physics
 from hermquant.physics import (C_SI, ELECTRON_MASS_SI, HBAR_SI,
                                PhysicalParams, aitken_extrapolate,
                                build_physical_AH, gamma_ratio, infimum_scan,
@@ -135,6 +136,13 @@ def test_spectrum_compare_s2_row():
     assert row.zero_point_gap_direct == pytest.approx(2.5, abs=1e-6)
     assert row.zero_point_gap_substituted == 1.5
     assert row.first_gap_substituted == 2.0
+
+
+def test_spectrum_compare_equivalence_is_computed(monkeypatch):
+    monkeypatch.setattr(physics, "build_Hhat",
+                        lambda s, N: matrices.build_Hhat(s + 1, N))
+    row = spectrum_compare([0], scan_infimum=False)[0]
+    assert not row.physically_equivalent
 
 
 def test_spectrum_compare_deterministic():
