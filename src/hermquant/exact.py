@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 _TRIAL_LIMIT = 100_000  # radicands here are smooth; see _split_square
 
 
@@ -141,8 +143,9 @@ class ExactC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, SqrtSum) else SqrtSum(re)
-        self.im = im if isinstance(im, SqrtSum) else SqrtSum(im)
+        # a zero part copies _ZERO's empty terms, cheaper than Fraction(0)
+        self.re = re if isinstance(re, SqrtSum) else SqrtSum(re or _ZERO)
+        self.im = im if isinstance(im, SqrtSum) else SqrtSum(im or _ZERO)
 
     @classmethod
     def _coerce(cls, x) -> "ExactC":
@@ -200,63 +203,53 @@ def sqrt_half(k: int) -> SqrtSum:
     return SqrtSum.sqrt(Fraction(k, 2))
 
 
-ExactMatrix = list  # list[list[ExactC]]
+# A band matrix is a dict {offset k: diagonal j - i = k}; the diagonal of an
+# n x n matrix at offset k has n - |k| entries in numpy's np.diagonal order,
+# entry t sitting at row t + max(0, -k), column t + max(0, k).  Offsets absent
+# from the dict are zero.  The exact band functions below take lists of ExactC.
 
 
-def exact_zeros(n: int) -> ExactMatrix:
-    return [[ExactC() for _ in range(n)] for _ in range(n)]
-
-
-def exact_eye(n: int) -> ExactMatrix:
-    m = exact_zeros(n)
-    for i in range(n):
-        m[i][i] = ExactC(1)
-    return m
-
-
-def exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n, m = len(a), len(b[0])
-    out = exact_zeros(n)
-    for i in range(n):
-        row = out[i]
-        for t, v in ((t, v) for t, v in enumerate(a[i]) if v):
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    row[j] = row[j] + v * bt[j]
+def exact_matmul(a: dict, b: dict) -> dict:
+    """Band-by-band product: offset ka of a times offset kb of b feeds offset
+    ka + kb, one entry per row that all three diagonals cover."""
+    out: dict = {}
+    for ka, da in a.items():
+        n = len(da) + abs(ka)
+        for kb, db in b.items():
+            k = ka + kb
+            if abs(k) >= n:
+                continue
+            acc = out.setdefault(k, [ExactC()] * (n - abs(k)))
+            ra, rb, rc = max(0, -ka), max(0, -kb), max(0, -k)
+            for i in range(max(ra, rc), min(n, n - ka, n - k)):
+                x, y = da[i - ra], db[i + ka - rb]
+                if x and y:
+                    acc[i - rc] = acc[i - rc] + x * y
     return out
 
 
-def exact_sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def exact_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, d in b.items():
+        out[k] = [x - y for x, y in zip(out.get(k, [ExactC()] * len(d)), d)]
+    return out
 
 
-def exact_adjoint(a: ExactMatrix) -> ExactMatrix:
-    n, m = len(a), len(a[0])
-    return [[a[j][i].conjugate() for j in range(n)] for i in range(m)]
+def exact_adjoint(a: dict) -> dict:
+    """Conjugate transpose: offset k moves to -k, entry order unchanged."""
+    return {-k: [x.conjugate() for x in d] for k, d in a.items()}
 
 
-def exact_scale(a: ExactMatrix, c) -> ExactMatrix:
-    c = ExactC._coerce(c)
-    return [[x * c for x in row] for row in a]
-
-
-def exact_block(a: ExactMatrix, n: int) -> ExactMatrix:
-    """Leading n-by-n block."""
-    return [row[:n] for row in a[:n]]
-
-
-def exact_max_abs(a: ExactMatrix) -> float:
+def exact_max_abs(a: dict) -> float:
     """Max entry magnitude as a float; exactly 0.0 iff the matrix is zero."""
-    worst = 0.0
-    for row in a:
-        for x in row:
-            if x:
-                worst = max(worst, abs(complex(x)))
-    return worst
+    return max((abs(complex(x)) for d in a.values() for x in d if x),
+               default=0.0)
 
 
-def to_complex_array(a: ExactMatrix):
-    import numpy as np
-
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
+def to_complex_array(bands: dict, dim: int, zero: complex = 0j):
+    """Dense dim x dim array from float bands, zero off the bands."""
+    out = np.full((dim, dim), zero, dtype=complex)
+    for k, d in bands.items():
+        t = np.arange(len(d))
+        out[t + max(0, -k), t + max(0, k)] = d
+    return out

@@ -20,7 +20,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .basis import cs_coefficients
-from .matrices import build_AH, build_Hhat, build_P, build_Q
+from .exact import exact_matmul
+from .matrices import (TruncatedOperator, band_matvec, build_AH, build_Hhat,
+                       build_P, build_Q)
 
 HBAR_SI = 1.054571817e-34     # J s
 C_SI = 299792458.0            # m / s
@@ -105,18 +107,17 @@ def build_physical_AH(params: PhysicalParams, s: int, N: int):
     """
     if N < 3:
         raise ValueError("need N >= 3")
-    from .matrices import TruncatedOperator
-
-    big = N + 2
-    p_d = build_P(s, big).entries
-    q_d = build_Q(s, big).entries
     kin = params.hbar ** 2 / (2.0 * params.m * params.ell ** 2)
     pot = params.m * params.omega ** 2 * params.ell ** 2 / 2.0
-    mat = (kin * (p_d @ p_d) + pot * (q_d @ q_d))[:N, :N]
+    p2, q2 = (TruncatedOperator.from_exact(exact_matmul(x, x), N,
+                                           (-2, 2)).bands
+              for x in (build_P(s, N + 2).exact, build_Q(s, N + 2).exact))
+    bands = {k: kin * p2[k] + pot * q2[k] for k in q2}
     pref = internal_energy_prefactor(params)
-    mat = mat + pref * ((2 * s + 1) * np.eye(N))
-    mat[0, 0] += pref * s
-    op = TruncatedOperator(mat, -2, 2, ("L", s))
+    bands[0] += pref * (2 * s + 1)
+    bands[0][0] += pref * s
+    op = TruncatedOperator(N, bands, -2, 2, ("L", s))
+    mat = op.entries
 
     levels = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).real
     gaps = np.diff(levels)
@@ -158,9 +159,7 @@ def infimum_scan(s: int, z: complex = 1.0 + 0.0j,
         val_a += 2.0 * float(np.real(np.sum(off2 * np.conj(c[:-2]) * c[2:])))
         # <Q^2> = ||Q c||^2 with the tridiagonal position matrix
         cpl = np.sqrt((n[: dim - 1] + s + 1.0) / 2.0)
-        qc = np.zeros(dim, dtype=complex)
-        qc[:-1] += cpl * c[1:]
-        qc[1:] += cpl * c[:-1]
+        qc = band_matvec({1: cpl, -1: cpl}, c)
         val_q = float(np.vdot(qc, qc).real)
         samples.append(val_a - val_q)
     return aitken_extrapolate(samples), samples
@@ -209,12 +208,12 @@ def spectrum_compare(s_list, N: int = 8, scan_infimum: bool = True) -> list:
     """
     rows = []
     for s in s_list:
-        ah = build_AH(s, N).entries.real
-        hh = build_Hhat(s, N).entries.real
-        g_a = float(ah[0, 0])
-        g_h = float(hh[0, 0])
+        ah = build_AH(s, N).bands[0].real
+        hh = build_Hhat(s, N).bands[0].real
+        g_a = float(ah[0])
+        g_h = float(hh[0])
         inf_q2 = infimum_scan(s)[0] if scan_infimum else s + 0.5
-        shift = np.diag(ah) - np.diag(hh)
+        shift = ah - hh
         rows.append(SpectrumRow(
             s=s,
             ground_direct=g_a,
@@ -222,8 +221,8 @@ def spectrum_compare(s_list, N: int = 8, scan_infimum: bool = True) -> list:
             global_shift=g_a - g_h,
             zero_point_gap_direct=g_a - inf_q2,
             zero_point_gap_substituted=g_h,
-            first_gap_direct=float(ah[1, 1] - ah[0, 0]),
-            first_gap_substituted=float(hh[1, 1] - hh[0, 0]),
+            first_gap_direct=float(ah[1] - ah[0]),
+            first_gap_substituted=float(hh[1] - hh[0]),
             infimum_quantized_q2=inf_q2,
             physically_equivalent=bool(np.ptp(shift) == 0.0),
         ))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import cs_coefficients
 from .errors import HintViolation, PoleError
-from .matrices import TruncatedOperator, eps_sign
+from .matrices import TruncatedOperator, band_matvec, eps_sign
 from .quadrature import QuadratureRule, gauss_laguerre_rule, rule_for
 from .specfun import laguerre, log_factorial
 
@@ -109,7 +109,7 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
                           * math.factorial(m + n) * math.factorial(a_meps - s + m)))
         ratio = math.exp(0.5 * (log_factorial(n + s) - log_factorial(nprime + s)))
         entries[n, nprime] = (-1) ** s * ratio * total
-    return TruncatedOperator(entries, offset, offset, (epsilon, s))
+    return TruncatedOperator.from_dense(entries, offset, offset, (epsilon, s))
 
 
 def default_rule(f, s: int, N: int) -> QuadratureRule:
@@ -157,20 +157,19 @@ def quantize_numeric(f, s: int, epsilon: str, N: int,
             pref = math.exp(log_factorial(s) - 0.5 * (logfac[n] + logfac[nprime]))
             radial = rule.radial_weights * lag[n] * lag[nprime] * squ ** (n + nprime)
             entries[n, nprime] = pref * np.dot(radial, angular[dmax + n - nprime])
-    return TruncatedOperator(entries, -(N - 1), N - 1, (epsilon, s))
+    return TruncatedOperator.from_dense(entries, -(N - 1), N - 1,
+                                        (epsilon, s))
 
 
-def lower_symbol(A, z: complex, s: int, epsilon: str = "L",
-                 tol: float = 1e-12) -> complex:
+def lower_symbol(A: TruncatedOperator, z: complex, s: int,
+                 epsilon: str = "L", tol: float = 1e-12) -> complex:
     """Expectation <z; s, eps| A |z; s, eps> in the coherent state at z.
 
-    A may be a TruncatedOperator or a plain square matrix; its dimension must
-    capture all but tol of the coherent-state norm (else TailError).
+    The dimension of A must capture all but tol of the coherent-state norm
+    (else TailError).
     """
-    mat = A.entries if isinstance(A, TruncatedOperator) else np.asarray(A)
-    dim = mat.shape[0]
-    c = cs_coefficients(s, z, dim, epsilon, tol)
-    return complex(np.vdot(c, mat @ c))
+    c = cs_coefficients(s, z, A.dim, epsilon, tol)
+    return complex(np.vdot(c, band_matvec(A.bands, c)))
 
 
 def _falling_product(base: float, count: int) -> float:

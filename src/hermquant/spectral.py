@@ -238,6 +238,15 @@ class DivergenceReport:
     def exceeds(self, threshold: float) -> bool:
         return self.partial_sum > threshold
 
+    def bracket_residual(self) -> float:
+        """How far the sum leaves its integral-test bracket
+        [2(sqrt(s+N+1) - sqrt(s+1)), rate_estimate], relative to the upper
+        edge; 0.0 inside.  The lower edge is unbounded in N, so a sum that
+        stays inside diverges."""
+        s, total, high = self.s, self.partial_sum, self.rate_estimate
+        low = 2.0 * (math.sqrt(s + self.n_terms + 1) - math.sqrt(s + 1))
+        return max(low - total, total - high, 0.0) / high
+
 
 def carleman_partial_sum(s: int, n_terms: int) -> float:
     return math.fsum(1.0 / math.sqrt(s + n) for n in range(1, n_terms + 1))

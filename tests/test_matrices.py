@@ -1,13 +1,16 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hermquant.exact import exact_max_abs, exact_sub
+from hermquant import matrices
+from hermquant.exact import (SqrtSum, exact_matmul, exact_max_abs, exact_sub,
+                             sqrt_half)
 from hermquant.ladder import ladder_apply, left
-from hermquant.matrices import (TruncatedOperator, build_A_z, build_A_zbar,
-                                build_AH, build_Aq2, build_Hhat,
+from hermquant.matrices import (TruncatedOperator, band_matvec, build_A_z,
+                                build_A_zbar, build_AH, build_Aq2, build_Hhat,
                                 build_P, build_Q, eps_sign, ground_projector,
                                 operator_csv_rows, operator_json_obj,
                                 verify_almost_canonical,
@@ -77,6 +80,50 @@ def test_weyl_commutator_exact(epsilon, s):
 def test_almost_canonical_commutator_exact(epsilon, s):
     check = verify_almost_canonical(s, 10, epsilon)
     assert check.passed and check.max_residual == 0.0
+
+
+@pytest.mark.parametrize("epsilon", ["L", "R"])
+def test_exact_identities_at_large_dimension(epsilon):
+    N = 1000
+    checks = [verify_weyl_commutator(3, N, epsilon),
+              verify_almost_canonical(3, N, epsilon)]
+    if epsilon == "L":
+        checks += verify_square_identities(3, N)
+    for check in checks:
+        assert check.passed and check.max_residual == 0.0, check
+
+
+def test_perturbed_jacobi_weight_fails_the_commutator(monkeypatch):
+    s = 2
+
+    def perturbed(k):
+        bump = SqrtSum(Fraction(1, 1000)) if k == s + 4 else SqrtSum(0)
+        return sqrt_half(k) + bump
+
+    monkeypatch.setattr(matrices, "sqrt_half", perturbed)
+    for epsilon in ("L", "R"):
+        check = verify_almost_canonical(s, 10, epsilon)
+        assert check.name == f"matrices.commutator_Q_P.{epsilon}.s{s}"
+        assert not check.passed and check.max_residual > 1e-3
+
+
+def test_band_products_match_dense_products(rng):
+    q, p = build_Q(2, 9), build_P(2, 9, "R")
+    qp = TruncatedOperator.from_exact(exact_matmul(q.exact, p.exact), 9,
+                                      (-2, 2))
+    assert np.allclose(qp.entries, q.entries @ p.entries, atol=1e-13)
+    c = rng.normal(size=9) + 1j * rng.normal(size=9)
+    for op in (q, p, build_Aq2(1, 9), build_A_zbar(0, 9, "L")):
+        assert np.allclose(band_matvec(op.bands, c), op.entries @ c,
+                           atol=1e-13)
+
+
+def test_out_of_band_entry_is_a_band_violation():
+    entries = build_Aq2(1, 8).entries.copy()
+    entries[0, 5] = 1e-3
+    op = TruncatedOperator.from_dense(entries, -2, 2)
+    assert op.band_violation() == 1e-3
+    assert np.array_equal(op.entries, entries)
 
 
 def test_commutator_float_matches_shifted_identity():
@@ -163,7 +210,9 @@ def test_csv_and_json_export_round_trip():
 
 def test_truncated_operator_validation():
     with pytest.raises(ValueError):
-        TruncatedOperator(np.zeros((2, 3)), 0, 0)
+        TruncatedOperator.from_dense(np.zeros((2, 3)), 0, 0)
+    with pytest.raises(ValueError):
+        TruncatedOperator(3, {1: np.ones(3)}, 1, 1)  # offset 1 holds 2
     op = build_Q(0, 4)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 5.0  # frozen storage

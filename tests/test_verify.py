@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -61,12 +62,59 @@ def test_to_dict_passed_is_python_bool():
     assert type(d["max_residual"]) is float and type(d["n_checked"]) is int
 
 
-@pytest.mark.parametrize("attr", [
-    "specfun.laguerre", "quadrature.gauss_laguerre_rule", "tridiag.eigenvalues",
-    "tridiag.golub_welsch", "spectral.eigenvalues", "matrices.build_Q",
-    "quantize.quantize_numeric", "quantize.Monomial", "basis.kernel",
-    "verify.SUITES", "cli.build_parser", "cli.main",
-])
+def _traced_functions() -> set:
+    """module.function of every three-part per-layer name in BENCHMARK.json
+    whose module perfbench/trace_cli.py wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "trace_cli", BENCH_DIR / "trace_cli.py")
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    bench = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())
+    parts = [m["name"].split(".") for m in bench["per_layer"]]
+    return {f"{p[0]}.{p[1]}" for p in parts
+            if len(p) == 3 and p[0] in trace_cli.MODULES}
+
+
+# the names the benchmark calls directly
+CALLED = ["specfun.laguerre", "quadrature.gauss_laguerre_rule",
+          "tridiag.eigenvalues", "tridiag.golub_welsch",
+          "spectral.eigenvalues", "matrices.build_Q",
+          "quantize.quantize_numeric", "quantize.Monomial", "basis.kernel",
+          "verify.SUITES", "cli.build_parser", "cli.main"]
+TRACED = _traced_functions()
+
+
+@pytest.mark.parametrize("attr", CALLED + sorted(TRACED - set(CALLED)))
 def test_benchmark_names_exist(attr):
     module, name = attr.split(".")
-    assert hasattr(importlib.import_module(f"hermquant.{module}"), name)
+    mod = importlib.import_module(f"hermquant.{module}")
+    assert hasattr(mod, name)
+    if attr in TRACED:
+        # the tracer wraps only the public functions a module defines, and
+        # a per-layer figure of any other name is never produced
+        obj = getattr(mod, name)
+        assert not name.startswith("_") and callable(obj)
+        assert not isinstance(obj, type) and obj.__module__ == mod.__name__
+
+
+def test_carleman_verdict_fails_for_a_bounded_series(monkeypatch):
+    from hermquant import spectral
+
+    def bounded(s, n_terms):
+        return math.fsum((s + k) ** -2.0 for k in range(1, n_terms + 1))
+
+    monkeypatch.setattr(spectral, "carleman_partial_sum", bounded)
+    check = {c.name: c for c in verify.suite_spectral()}[
+        "spectral.carleman_sums_diverge"]
+    assert not check.passed and check.max_residual > 0.9
+
+
+def test_band_rule_fails_for_a_wrong_declared_band(monkeypatch):
+    from hermquant import quantize
+
+    name = "quantize.band_rule_and_adjoint_covariance"
+    offset = quantize._band_offset
+    monkeypatch.setattr(quantize, "_band_offset",
+                        lambda a, b, eps: offset(a, b, eps) + 1)
+    check = {c.name: c for c in verify.suite_quantize()}[name]
+    assert not check.passed and check.max_residual > 0.1
