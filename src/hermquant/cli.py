@@ -197,12 +197,14 @@ def cmd_physics(args, cfg: RunConfig) -> int:
             _emit(json.dumps(report, indent=1, sort_keys=True) + "\n", cfg)
         return 0
     if args.which == "table":
-        rows = physics.spectrum_compare(range(args.s_max + 1), cfg.dim)
-        return _emit_spectrum_table(rows, cfg)
+        return _emit_spectrum_table(args, cfg)
     raise ValueError(f"unknown physics subcommand {args.which!r}")
 
 
-def _emit_spectrum_table(rows, cfg: RunConfig) -> int:
+def _emit_spectrum_table(args, cfg: RunConfig) -> int:
+    if cfg.dim < 2:
+        raise ValueError(f"--dim {cfg.dim}: the first gap needs --dim >= 2")
+    rows = physics.spectrum_compare(range(args.s_max + 1), cfg.dim)
     dicts = [r.to_dict() for r in rows]
     if cfg.fmt == "csv":
         head = list(dicts[0])
@@ -223,7 +225,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         status = "pass" if c.passed else "FAIL"
         print(f"[{status}] {c.name} residual={c.max_residual:.3e} "
               f"tol={c.tol:.1e}", file=sys.stderr)
-    _emit(verify.report_json(checks, args.suite) + "\n", cfg)
+    _emit(verify.report_json(checks, args.suite, cfg.seed) + "\n", cfg)
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -272,8 +274,7 @@ def cmd_export(args, cfg: RunConfig) -> int:
             _emit("\n".join(lines) + "\n", cfg)
         return 0
     if args.object == "spectrum-table":
-        rows = physics.spectrum_compare(range(args.s_max + 1), cfg.dim)
-        return _emit_spectrum_table(rows, cfg)
+        return _emit_spectrum_table(args, cfg)
     raise ValueError(f"unknown export object {args.object!r}")
 
 

@@ -13,6 +13,7 @@ frequencies strictly below M in magnitude.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,25 @@ def gauss_laguerre_rule(n_r: int, angular_count: int = 1) -> QuadratureRule:
 
     Nodes/weights come from the Laguerre Jacobi matrix (diagonal 2k+1,
     off-diagonal k) via Golub-Welsch; exact for polynomials up to degree
-    2*n_r - 1.
+    2*n_r - 1.  The radial part does not depend on the angular count, so it
+    is built once per n_r per process, and every rule with that n_r shares
+    the same read-only arrays.
     """
     if n_r < 1:
         raise ValueError("need at least one radial node")
+    nodes, weights = _radial_rule(n_r)
+    return QuadratureRule(nodes, weights, angular_count)
+
+
+@functools.lru_cache(maxsize=None)
+def _radial_rule(n_r: int) -> tuple:
     k = np.arange(n_r, dtype=float)
     diag = 2.0 * k + 1.0
     off = np.arange(1, n_r, dtype=float)
     nodes, weights = tridiag.golub_welsch(diag, off, total_mass=1.0)
-    return QuadratureRule(nodes, weights, angular_count)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def rule_for(radial_degree: int, max_angular_freq: int) -> QuadratureRule:

@@ -3,7 +3,9 @@
 CheckResult is the one place a verdict is decided: a check passes iff
 max_residual <= tol, so a NaN residual fails, and tol = 0.0 marks checks done
 in exact arithmetic, where anything nonzero is a failure.  The witness names
-the parameters behind the worst residual and is kept only on a failure.
+the parameters behind the worst residual and is kept only on a failure.  The
+margin max_residual / tol says how much of its tolerance a check used; it is
+None (JSON null) for an exact check.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         # numpy scalars serialize poorly; normalize at the boundary
+        margin = float(self.max_residual / self.tol) if self.tol else None
         return {"name": self.name, "n_checked": int(self.n_checked),
                 "max_residual": float(self.max_residual),
-                "tol": float(self.tol), "passed": self.passed,
-                "witness": self.witness}
+                "tol": float(self.tol), "margin": margin,
+                "passed": self.passed, "witness": self.witness}

@@ -8,7 +8,7 @@ eigenvalues that carry the discrete spectral measure via Golub-Welsch, and
 even/odd factorizations through associated Laguerre polynomials built from
 terminating 3F2 sums.
 
-Eigenvalues come from Sturm bisection on the float Jacobi matrix (tridiag);
+Eigenvalues come from Sturm multisection on the float Jacobi matrix (tridiag);
 the exact polynomials serve the identity checks.  Exact polynomial
 arithmetic uses Fractions; float evaluation switches to a compensated
 (error-free transformation) Horner beyond degree 15, where naive evaluation
@@ -177,7 +177,7 @@ def char_poly(n: int, s: int) -> PolyExact:
 
 
 def eigenvalues(n: int, s: int) -> np.ndarray:
-    """Eigenvalues of the n-section, ascending, by Sturm bisection on the
+    """Eigenvalues of the n-section, ascending, by Sturm multisection on the
     Jacobi matrix (see tridiag.eigenvalues)."""
     return tridiag.eigenvalues(np.zeros(n), JacobiMatrix(s, n).offdiag())
 
@@ -208,6 +208,12 @@ def golub_welsch(s: int, n: int) -> DiscreteMeasure:
     eigenvector components."""
     jm = JacobiMatrix(s, n)
     nodes, weights = tridiag.golub_welsch(np.zeros(n), jm.offdiag(), 1.0)
+    lost = np.flatnonzero(weights <= 0)
+    if lost.size:
+        raise ValueError(
+            f"--dim {n}: the Golub-Welsch weight at node "
+            f"{nodes[lost[0]]:.6g} underflows a float (s = {s}); a "
+            f"smaller --dim keeps every weight representable")
     return DiscreteMeasure(nodes, weights)
 
 

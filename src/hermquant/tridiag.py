@@ -1,13 +1,20 @@
 """Symmetric tridiagonal eigenvalue machinery.
 
-Sturm-count bisection, vectorized over all roots, gives the eigenvalues;
-Golub-Welsch weights come from the three-term recurrence at those nodes.
-Everything is deterministic: fixed iteration counts, no randomness.
+Sturm-count multisection gives the eigenvalues: 20 rounds, each cutting
+every root's bracket into eighths with one Sturm sweep vectorized over all
+roots and section points, narrow the brackets to 2^-60 of the Gershgorin
+span.  Golub-Welsch weights come from the three-term recurrence at those
+nodes.  Everything is deterministic: fixed round counts, no randomness.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# multisection: each round splits every bracket into 8 equal parts, and
+# 20 rounds narrow it by 8^20 = 2^60
+_SECTIONS = 8
+_ROUNDS = 20
 
 
 def sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -38,11 +45,13 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarra
 def eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """All eigenvalues of the symmetric tridiagonal (diag, off), ascending.
 
-    Each root is isolated by bisection on Sturm counts from a Gershgorin
-    bracket; the returned values are the bracket midpoints.  Sixty halvings
-    leave each bracket 2^-60 of the Gershgorin span wide, below one ulp of
-    the largest eigenvalue in magnitude, so the Sturm counts and not the
-    iteration limit set the accuracy.
+    Each root is isolated by multisection on Sturm counts from a Gershgorin
+    bracket: every round evaluates one Sturm sweep at the 7 interior points
+    lo + j (hi - lo) / 8 of all n brackets at once and keeps, for root k, the
+    eighth that holds it.  Twenty rounds leave each bracket 8^-20 = 2^-60 of
+    the Gershgorin span wide, below one ulp of the largest eigenvalue in
+    magnitude, so the Sturm counts and not the round limit set the accuracy.
+    The returned values are the bracket midpoints.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -55,17 +64,21 @@ def eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     span = max(np.max(radius), 1.0)
-    # asymmetric padding keeps bisection midpoints off structurally special
+    # asymmetric padding keeps section points off structurally special
     # shifts (e.g. 0 for a zero-diagonal matrix)
     lo = np.full(n, np.min(diag - radius) - 2.13e-3 * span)
     hi = np.full(n, np.max(diag + radius) + 0.97e-3 * span)
-    targets = np.arange(1, n + 1)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        counts = sturm_counts(diag, off, mid)
-        below = counts >= targets  # at least k+1 eigenvalues below mid
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
+    targets = np.arange(1, n + 1)[:, None]
+    rows = np.arange(n)
+    fractions = np.arange(1, _SECTIONS) / _SECTIONS
+    for _ in range(_ROUNDS):
+        shifts = lo[:, None] + (hi - lo)[:, None] * fractions
+        counts = sturm_counts(diag, off, shifts.ravel()).reshape(shifts.shape)
+        # root k lies in the eighth between edges j and j + 1, where j counts
+        # the section points with fewer than k + 1 eigenvalues below them
+        edges = np.column_stack((lo, shifts, hi))
+        j = np.sum(counts < targets, axis=1)
+        lo, hi = edges[rows, j], edges[rows, j + 1]
     return 0.5 * (lo + hi)
 
 

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from . import basis, ladder, matrices, physics, quantize, spectral
+from . import (__version__, basis, ladder, matrices, physics, quantize,
+               spectral)
 from .basis import BasisLabel, kernel, kernel_s1_closed, normalization, \
     normalization_series, phi, reproduce
 from .quadrature import gauss_laguerre_rule, grid_points
@@ -337,12 +338,13 @@ def suite_spectral() -> list:
     sym = 0.0
     inter_ok = True
     for s in range(5):
+        ev = spectral.eigenvalues(2, s)
         for n in range(2, 16):
-            ev = spectral.eigenvalues(n, s)
             sym = max(sym, float(np.abs(ev + ev[::-1]).max()))
             ev2 = spectral.eigenvalues(n + 1, s)
             if not all(ev2[i] < ev[i] < ev2[i + 1] for i in range(n)):
                 inter_ok = False
+            ev = ev2
     checks.append(CheckResult(
         "spectral.spectrum_symmetric_about_zero", sym, 1e-12, 5 * 14))
     checks.append(CheckResult("spectral.interlacing_of_sections",
@@ -454,9 +456,15 @@ def run(suite: str = "all", seed: int | None = None) -> list:
     return [c for fn in SUITES.values() for c in call(fn)]
 
 
-def report_json(checks, suite: str) -> str:
+def report_json(checks, suite: str, seed: int | None = None) -> str:
+    """The report as sorted JSON.  Besides the checks it records the seed
+    and the hermquant and numpy versions, so reports from different runs can
+    be compared."""
     payload = {
         "suite": suite,
+        "seed": seed,
+        "hermquant_version": __version__,
+        "numpy_version": np.__version__,
         "n_checks": len(checks),
         "all_passed": all(c.passed for c in checks),
         "checks": [c.to_dict() for c in checks],

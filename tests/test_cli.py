@@ -61,13 +61,24 @@ def test_poly_assoc_hermite_coefficients(capsys):
     (("basis", "normalization", "--s", "1", "--t", "800"), "t = 800"),
     (("poly", "hermite", "--r", "400", "--s", "400", "--z", "1+1i"),
      "r = 400"),
-], ids=["negative-degree", "normalization-overflow", "hermite-overflow"])
+    (("physics", "table", "--dim", "1"), "--dim"),
+], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
+        "table-dim-1"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     # an overflow names the offending argument
     assert needle in err
+
+
+def test_measure_weight_underflow_is_a_domain_error(capsys):
+    # at --dim 400 the outermost Golub-Welsch weights fall below 1e-308
+    code, _, err = run_cli(capsys, "spectrum", "measure", "--s", "1",
+                           "--dim", "400")
+    assert code == 2
+    assert err.startswith("error: --dim 400: ") and err.count("\n") == 1
+    assert "at node -27.7" in err and "underflows a float" in err
 
 
 def test_io_error_exit_code(capsys):

@@ -13,6 +13,7 @@ from hermquant.quantize import (Monomial, Sampled, angular_phase_sign,
                                 laguerre_integral_quadrature,
                                 laguerre_integral_swapped, lower_symbol,
                                 quantize_monomial, quantize_numeric)
+from hermquant.tridiag import golub_welsch
 
 from oracles import quad2d_gauss
 
@@ -29,6 +30,31 @@ def test_gauss_laguerre_moment_exactness():
         for k in range(2 * n_r):
             got = float(np.dot(rule.radial_weights, rule.radial_nodes**k))
             assert abs(got - math.factorial(k)) <= 1e-13 * math.factorial(k)
+
+
+def test_gauss_laguerre_radial_part_is_shared_and_read_only():
+    a, b = gauss_laguerre_rule(23, 1), gauss_laguerre_rule(23, 9)
+    assert a.radial_nodes is b.radial_nodes
+    assert a.radial_weights is b.radial_weights
+    with pytest.raises(ValueError):
+        b.radial_nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        a.radial_weights[0] = 0.0
+
+
+def test_gauss_laguerre_cached_rule_equals_fresh_golub_welsch():
+    for n_r in (1, 2, 20, 60):
+        k = np.arange(n_r, dtype=float)
+        nodes, weights = golub_welsch(2.0 * k + 1.0, k[1:])
+        rule = gauss_laguerre_rule(n_r, 5)
+        assert np.array_equal(rule.radial_nodes, nodes)
+        assert np.array_equal(rule.radial_weights, weights)
+
+
+@pytest.mark.parametrize("n_r, m", [(0, 1), (-3, 1), (4, 0)])
+def test_gauss_laguerre_rejects_empty_rules(n_r, m):
+    with pytest.raises(ValueError):
+        gauss_laguerre_rule(n_r, m)
 
 
 def test_gauss_laguerre_reproduces_weighted_orthogonality():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hermquant
 from hermquant import verify
 from hermquant.report import CheckResult
 
@@ -31,13 +32,24 @@ def test_all_suites_pass_in_fixed_order():
 
 def test_report_json_schema():
     checks = verify.run("ladder")
-    payload = json.loads(verify.report_json(checks, "ladder"))
+    payload = json.loads(verify.report_json(checks, "ladder", seed=5))
+    assert set(payload) == {"suite", "seed", "hermquant_version",
+                            "numpy_version", "n_checks", "all_passed",
+                            "checks"}
     assert payload["suite"] == "ladder"
+    assert payload["seed"] == 5
+    assert payload["hermquant_version"] == hermquant.__version__
+    assert payload["numpy_version"] == np.__version__
     assert payload["n_checks"] == len(checks)
     assert payload["all_passed"] is True
     for c in payload["checks"]:
         assert set(c) == {"name", "n_checked", "max_residual", "tol",
-                          "passed", "witness"}
+                          "margin", "passed", "witness"}
+
+
+def test_margin_is_residual_over_tol_and_null_for_exact_checks():
+    assert CheckResult("x", 0.5, 2.0, 1).to_dict()["margin"] == 0.25
+    assert CheckResult("x", 0.0, 0.0, 1).to_dict()["margin"] is None
 
 
 def test_check_fails_above_tol_and_keeps_witness():
