@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .basis import cs_coefficients
-from .exact import exact_matmul
-from .matrices import (TruncatedOperator, band_matvec, build_AH, build_Hhat,
-                       build_P, build_Q)
+from .exact import ExactC, SqrtSum, exact_matmul, exact_max_abs, exact_sub
+from .matrices import (TruncatedOperator, band_matvec, build_A_z,
+                       build_A_zbar, build_AH, build_Hhat, build_P, build_Q,
+                       eps_sign)
 
 HBAR_SI = 1.054571817e-34     # J s
 C_SI = 299792458.0            # m / s
@@ -81,6 +83,45 @@ def zeta_inverse(params: PhysicalParams, z: complex) -> tuple:
     """Invert zeta_map: (q, p) from a dimensionless z."""
     rt2 = math.sqrt(2.0)
     return (z.real * params.ell * rt2, z.imag * params.hbar * rt2 / params.ell)
+
+
+def si_scales(params: PhysicalParams) -> tuple:
+    """The factors (ell sqrt2, hbar sqrt2 / ell) by which zeta_inverse turns
+    Re z and Im z into q and p, as exact SqrtSum values: hbar and ell enter
+    as the rationals their floats represent, so the product is exactly
+    2 hbar."""
+    rt2 = SqrtSum.sqrt(2)
+    ell, hbar = Fraction(params.ell), Fraction(params.hbar)
+    return rt2 * ell, rt2 * (hbar / ell)
+
+
+def si_commutator_residual(params: PhysicalParams, s: int, N: int,
+                           epsilon: str = "L") -> float:
+    """Largest entry of [Q, P] - (-1)^{eps+1} i hbar (1 + s P_0) on the
+    interior N x N block, in exact arithmetic, for the SI operators
+
+        Q = ell sqrt2 (A_z + A_zbar)/2,  P = (hbar sqrt2/ell) (A_z - A_zbar)/(2i)
+
+    built at N + 2 from the quantized z and zbar.  Returns 0.0 iff the
+    identity holds exactly for the float hbar of params."""
+    q_scale, p_scale = si_scales(params)
+    az = build_A_z(s, N + 2, epsilon).exact
+    azbar = build_A_zbar(s, N + 2, epsilon).exact
+
+    def combine(c_z: ExactC, c_zbar: ExactC) -> dict:
+        # A_z and A_zbar occupy the opposite offsets +-1, so the bands of
+        # c_z A_z + c_zbar A_zbar are those of the two terms side by side
+        return {**{k: [c_z * x for x in d] for k, d in az.items()},
+                **{k: [c_zbar * x for x in d] for k, d in azbar.items()}}
+
+    half = Fraction(1, 2)
+    q = combine(ExactC(q_scale * half), ExactC(q_scale * half))
+    p = combine(ExactC(0, -p_scale * half), ExactC(0, p_scale * half))
+    comm = exact_sub(exact_matmul(q, p), exact_matmul(p, q))
+    interior = {k: d[:N - abs(k)] for k, d in comm.items() if abs(k) < N}
+    c = ExactC(0, -eps_sign(epsilon) * Fraction(params.hbar))
+    want = {0: [c * (1 + s)] + [c] * (N - 1)}
+    return exact_max_abs(exact_sub(interior, want))
 
 
 def gamma_ratio(params: PhysicalParams) -> float:

@@ -24,7 +24,7 @@ from .basis import cs_coefficients
 from .errors import HintViolation, PoleError
 from .matrices import TruncatedOperator, band_matvec, eps_sign
 from .quadrature import QuadratureRule, gauss_laguerre_rule, rule_for
-from .specfun import laguerre, log_factorial
+from .specfun import laguerre, laguerre_many, log_factorial
 
 
 def angular_phase_sign(epsilon: str) -> int:
@@ -145,9 +145,7 @@ def quantize_numeric(f, s: int, epsilon: str, N: int,
     phases = np.exp(1j * sgn * np.outer(ds, theta))  # (2N-1, M)
     angular = phases @ fvals.T / m_ang               # (2N-1, n_r)
 
-    lag = np.empty((N, u.size))
-    for n in range(N):
-        lag[n] = laguerre(s, n, u)
+    lag = laguerre_many(s, np.arange(N), u)
     squ = np.sqrt(u)
 
     entries = np.zeros((N, N), dtype=complex)

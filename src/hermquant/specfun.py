@@ -121,16 +121,21 @@ def laguerre(s: int, alpha, x):
     return lk
 
 
-def laguerre_many(s: int, alphas: np.ndarray, x: float) -> np.ndarray:
-    """L_s^(alpha)(x) for a whole vector of alpha values at fixed x.
+def laguerre_many(s: int, alphas, x) -> np.ndarray:
+    """Table of L_s^(alpha)(x) over an array of alpha values.
 
-    Runs the degree recurrence vectorized over alpha; used for coherent-state
-    coefficient vectors where alpha = n can reach 10^4.
+    Runs the degree recurrence vectorized over alpha, so no coefficients are
+    built for any alpha; used for coherent-state coefficient vectors, where
+    alpha = n can reach 10^4, and for series over n.  x is a scalar or an
+    ndarray; an ndarray x gives the table at every point, with shape
+    alphas.shape + x.shape.
     """
     alphas = np.asarray(alphas, dtype=float)
+    if isinstance(x, np.ndarray):
+        alphas = alphas.reshape(alphas.shape + (1,) * x.ndim)
+    lm1 = np.ones(np.broadcast_shapes(alphas.shape, np.shape(x)))
     if s == 0:
-        return np.ones_like(alphas)
-    lm1 = np.ones_like(alphas)
+        return lm1
     lk = 1.0 + alphas - x
     for k in range(1, s):
         lm1, lk = lk, ((2 * k + 1 + alphas - x) * lk - (k + alphas) * lm1) / (k + 1)

@@ -22,7 +22,7 @@ from .quadrature import gauss_laguerre_rule, grid_points
 from .report import CheckResult
 from .specfun import (complex_hermite, complex_hermite_coeffs,
                       complex_hermite_exact, complex_hermite_laguerre,
-                      complex_hermite_laguerre_exact, laguerre)
+                      complex_hermite_laguerre_exact, laguerre_many)
 
 QUAD_TOL = 1e-10
 REPRO_TOL = 1e-7
@@ -34,9 +34,9 @@ def _family_gram(s: int, coefs) -> np.ndarray:
     n_max = len(coefs) - 1
     rule = gauss_laguerre_rule(n_max + 2 * s + 10, 2 * n_max + 3)
     zg = grid_points(rule).ravel()
-    tg = np.abs(zg) ** 2
-    vals = np.array([c * np.conj(zg) ** n * laguerre(s, n, tg)
-                     for n, c in enumerate(coefs)])
+    ns = np.arange(n_max + 1)
+    vals = (np.asarray(coefs)[:, None] * np.conj(zg) ** ns[:, None]
+            * laguerre_many(s, ns, np.abs(zg) ** 2))
     w = np.repeat(rule.radial_weights / rule.angular_count,
                   rule.angular_count)
     return (vals * w) @ vals.conj().T
@@ -52,11 +52,15 @@ def hermite_orthogonality_residual(s: int, n_max: int) -> float:
     return float((np.abs(gram - np.diag(norms)) / scale).max())
 
 
+def _phi_coef(n: int, s: int) -> float:
+    """(-1)^s sqrt(s!/(s+n)!), the factor of zbar^n L_s^(n) in phi_{n;s}."""
+    return (-1) ** s * math.exp(
+        0.5 * (math.lgamma(s + 1) - math.lgamma(s + n + 1)))
+
+
 def phi_gram_residual(s: int, n_max: int) -> float:
     """Worst deviation of the phi_{n;s} Gram matrix from the identity."""
-    gram = _family_gram(s, [(-1) ** s * math.exp(
-        0.5 * (math.lgamma(s + 1) - math.lgamma(s + n + 1)))
-        for n in range(n_max + 1)])
+    gram = _family_gram(s, [_phi_coef(n, s) for n in range(n_max + 1)])
     return float(np.abs(gram - np.eye(n_max + 1)).max())
 
 
@@ -156,17 +160,17 @@ def suite_basis(seed: int = 20240901) -> list:
         "basis.kernel_annihilates_other_sectors", worst_cross, REPRO_TOL, 1))
 
     rule = gauss_laguerre_rule(60)
+    u = rule.radial_nodes
     worst_pdf = 0.0
     for s in range(5):
         for n in range(0, 9, 2):
             tot = float(np.dot(rule.radial_weights,
-                               [math.exp(u) * basis.gamma_like_pdf(n, s, u)
-                                for u in rule.radial_nodes]))
+                               np.exp(u) * basis.gamma_like_pdf(n, s, u)))
             worst_pdf = max(worst_pdf, abs(tot - 1.0))
     worst_pmf = 0.0
     for t in (0.5, 2.0, 10.0):
         for s in range(5):
-            tot = sum(basis.poisson_like_pmf(n, s, t) for n in range(250))
+            tot = float(np.sum(basis.poisson_like_pmf(np.arange(250), s, t)))
             worst_pmf = max(worst_pmf, abs(tot - 1.0))
     checks.append(CheckResult(
         "basis.radial_density_normalized", worst_pdf, QUAD_TOL, 25))
@@ -197,9 +201,14 @@ def suite_basis(seed: int = 20240901) -> list:
 
 
 def _phi_callable(label: BasisLabel):
+    """phi^eps_{n;s} evaluated on a whole grid of points at once."""
+    n, s = label.n, label.s
+
     def f(zgrid):
-        vec = np.vectorize(lambda u: phi(label, u))
-        return vec(zgrid)
+        t = np.abs(zgrid) ** 2
+        val = (_phi_coef(n, s) * np.exp(-t / 2) * np.conj(zgrid) ** n
+               * laguerre_many(s, n, t))
+        return np.conj(val) if label.epsilon == "R" else val
     return f
 
 
@@ -419,12 +428,9 @@ def suite_physics() -> list:
     checks.append(CheckResult(
         "physics.quantized_square_infimum", worst, 1e-3, 4))
 
-    # dimensionless commutator keeps the sector term; with units restored it
-    # reads i hbar (1 + s P0)
-    res = 0.0
-    for s in range(4):
-        c = matrices.verify_almost_canonical(s, 10, "L")
-        res = max(res, c.max_residual)
+    # with units restored, [Q, P] reads i hbar (1 + s P0): Q and P built in
+    # SI units for the electron, compared exactly against its hbar
+    res = max(physics.si_commutator_residual(par, s, 10) for s in range(4))
     checks.append(CheckResult(
         "physics.commutator_with_units_keeps_sector_term", res, 0.0, 4))
     return checks

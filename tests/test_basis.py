@@ -12,10 +12,13 @@ from hermquant.basis import (BasisLabel, cs_coefficients,
                              normalization_deficit_log, normalization_scaled,
                              normalization_series, phi, poisson_like_pmf,
                              reproduce)
+from hermquant import specfun
 from hermquant.errors import NonConvergence, TailError
 from hermquant.quadrature import gauss_laguerre_rule
-from hermquant.specfun import laguerre
+from hermquant.specfun import laguerre, laguerre_coeffs, log_factorial
 from hermquant.verify import phi_gram_residual
+
+from conftest import laguerre_scale
 
 
 def _phi_vec(label):
@@ -224,6 +227,80 @@ def test_distributions_reduce_to_gamma_and_poisson_at_s_zero():
                 math.exp(-t) * t**n / math.factorial(n), rel=1e-13)
             assert poisson_like_pmf(n, 0, t) == pytest.approx(
                 math.exp(-t) * t**n / math.factorial(n), rel=1e-13)
+
+
+def _pdf_scalar(n, s, t):
+    """The radial density one point at a time, from the scalar laguerre."""
+    if t == 0.0:
+        return 1.0 if n == 0 else 0.0
+    lag = laguerre(s, n, t)
+    if lag == 0.0:
+        return 0.0
+    logv = (log_factorial(s) - log_factorial(s + n)
+            - t + n * math.log(t) + 2.0 * math.log(abs(lag)))
+    return math.exp(logv) if logv > -745.0 else 0.0
+
+
+def _assert_matches_scalar(got, want, n, s, t):
+    """Relative agreement at 1e-13, widened by the conditioning of L_s^(n)(t)
+    (coefficient scale over value): near a zero of L the finite sum behind
+    the scalar form loses digits that the table keeps."""
+    if want == 0.0:
+        assert got == 0.0, (n, s, t)
+        return
+    cond = laguerre_scale(s, n, t) / abs(laguerre(s, n, t))
+    assert abs(got - want) <= 1e-13 * want * cond, (n, s, t)
+
+
+def test_gamma_like_pdf_array_matches_scalar_form():
+    u = np.concatenate([[0.0, 3.0], gauss_laguerre_rule(60).radial_nodes])
+    for s in range(5):
+        for n in range(0, 31, 5):
+            got = gamma_like_pdf(n, s, u)
+            assert got.shape == u.shape
+            for g, t in zip(got, u):
+                _assert_matches_scalar(g, _pdf_scalar(n, s, float(t)),
+                                       n, s, float(t))
+    grid = gamma_like_pdf(np.arange(4), 2, u.reshape(2, -1))
+    assert grid.shape == (4, 2, u.size // 2)
+    assert isinstance(gamma_like_pdf(2, 1, 0.5), float)
+
+
+def test_poisson_like_pmf_array_matches_scalar_form():
+    ns = np.arange(250)
+    for s in range(5):
+        for t in (0.0, 0.5, 2.0, 10.0, 40.0):
+            got = poisson_like_pmf(ns, s, t)
+            norm = normalization_scaled(s, t)
+            for n in ns[::3]:
+                _assert_matches_scalar(got[n], _pdf_scalar(int(n), s, t) / norm,
+                                       int(n), s, t)
+
+
+def test_normalization_series_terms_on_verify_grid():
+    # the grid of basis.normalization_closed_vs_series; the total is the
+    # one the scalar-laguerre series used
+    used = sum(normalization_series(s, float(t))[1]
+               for s in range(7) for t in np.linspace(0.5, 50.0, 25))
+    assert used == 14_139
+
+
+def test_radial_series_build_no_laguerre_coefficients(monkeypatch):
+    builds = []
+
+    def counted(s, alpha):
+        builds.append((s, alpha))
+        return laguerre_coeffs(s, alpha)
+
+    monkeypatch.setattr(specfun, "laguerre_coeffs", counted)
+    normalization_series(3, 50.0)
+    assert builds == []
+    for s in range(5):
+        for t in (0.5, 10.0):
+            builds.clear()
+            poisson_like_pmf(np.arange(250), s, t)
+            # only N_s(t), from its s closed-form terms
+            assert len(builds) <= s
 
 
 @settings(max_examples=40)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,23 @@ def test_verify_suite_exit_codes(capsys):
     assert body["all_passed"] is True
     assert all(c["max_residual"] == 0.0 for c in body["checks"])
     assert "[pass]" in err
+
+
+def test_verify_all_runs_clean_with_runtime_warnings_as_errors():
+    # the pytest warning filter covers only in-process code; a fresh
+    # interpreter checks the CLI path, vectorised logs of zeros included
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hermquant.cli",
+         "verify", "--suite", "all", "--seed", "5"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    body = json.loads(proc.stdout)
+    assert body["n_checks"] == 150 and body["all_passed"] is True
+    assert all(c["passed"] for c in body["checks"])
 
 
 def test_export_operator_matches_builder(tmp_path, capsys):

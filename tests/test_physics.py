@@ -106,6 +106,18 @@ def test_compton_mode_s0_analytic_gap_identity(electron):
         electron.hbar * electron.omega, rel=1e-14)
 
 
+@pytest.mark.parametrize("epsilon", ["L", "R"])
+def test_si_commutator_is_i_hbar_exactly(electron, epsilon):
+    from fractions import Fraction
+
+    for par in (electron, PhysicalParams.dimensionless(),
+                PhysicalParams.oscillator(ELECTRON_MASS_SI, 3e15)):
+        q_scale, p_scale = physics.si_scales(par)
+        assert q_scale * p_scale == 2 * Fraction(par.hbar)
+        for s in range(4):
+            assert physics.si_commutator_residual(par, s, 8, epsilon) == 0.0
+
+
 @pytest.mark.parametrize("s", range(4))
 def test_infimum_scan_converges(s):
     ext, samples = infimum_scan(s)

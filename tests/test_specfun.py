@@ -15,7 +15,7 @@ from hermquant.specfun import (binomial_general, complex_hermite,
                                hyp3f2_terminating, laguerre, laguerre_coeffs,
                                laguerre_many, pochhammer, pochhammer_exact)
 
-from conftest import rel_err
+from conftest import laguerre_scale, rel_err
 
 
 def test_pochhammer_empty_product():
@@ -107,6 +107,41 @@ def test_laguerre_many_matches_scalar():
         got = laguerre_many(s, ns, 7.5)
         want = np.array([laguerre(s, int(n), 7.5) for n in ns])
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", range(10))
+def test_laguerre_many_array_x_matches_scalar(s):
+    # both branches of the scalar laguerre (finite sum for s <= 6, the
+    # recurrence above) against the table over alpha x points
+    alphas = np.arange(40)
+    xs = np.linspace(0.0, 60.0, 13)
+    table = laguerre_many(s, alphas, xs)
+    assert table.shape == (40, 13)
+    for j, x in enumerate(xs):
+        # a column is the scalar-x table, bit for bit
+        assert np.array_equal(table[:, j], laguerre_many(s, alphas, float(x)))
+        for a in alphas:
+            want = laguerre(s, int(a), float(x))
+            scale = max(1.0, laguerre_scale(s, int(a), float(x)))
+            assert abs(table[a, j] - want) <= 1e-14 * scale, (s, a, x)
+    grid = xs.reshape(13, 1) * np.ones((1, 2))
+    assert laguerre_many(s, alphas, grid).shape == (40, 13, 2)
+    assert laguerre_many(s, 3, xs).shape == xs.shape
+
+
+def test_laguerre_table_matches_mpmath_at_large_arguments():
+    # the range normalization_series reaches at t = 50: n to 135 terms
+    mpmath = pytest.importorskip("mpmath")
+    ns = np.arange(0, 201, 10)
+    ts = np.linspace(0.0, 60.0, 13)
+    with mpmath.workdps(30):
+        for s in range(7):
+            table = laguerre_many(s, ns, ts)
+            for i, n in enumerate(ns):
+                for j, t in enumerate(ts):
+                    want = float(mpmath.laguerre(s, int(n), mpmath.mpf(t)))
+                    scale = laguerre_scale(s, int(n), float(t))
+                    assert abs(table[i, j] - want) <= 1e-14 * scale, (s, n, t)
 
 
 def test_binomial_general_integer_and_real():

@@ -130,3 +130,18 @@ def test_band_rule_fails_for_a_wrong_declared_band(monkeypatch):
                         lambda a, b, eps: offset(a, b, eps) + 1)
     check = {c.name: c for c in verify.suite_quantize()}[name]
     assert not check.passed and check.max_residual > 0.1
+
+
+def test_si_commutator_fails_for_a_wrong_scale_product(monkeypatch):
+    from fractions import Fraction
+
+    from hermquant import physics
+
+    name = "physics.commutator_with_units_keeps_sector_term"
+    assert {c.name: c for c in verify.suite_physics()}[name].passed
+    scales = physics.si_scales
+    # position and momentum scales whose product is hbar/2, not 2 hbar
+    monkeypatch.setattr(physics, "si_scales", lambda params: tuple(
+        x * Fraction(1, 2) for x in scales(params)))
+    check = {c.name: c for c in verify.suite_physics()}[name]
+    assert not check.passed and check.max_residual > 0.0
