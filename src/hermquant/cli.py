@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass
@@ -38,6 +39,21 @@ def parse_complex(text: str) -> complex:
             im_part += "1"
         return complex(float(re_part) if re_part else 0.0, float(im_part))
     return complex(float(raw), 0.0)
+
+
+def _complex_arg(text: str, flag: str) -> complex:
+    """parse_complex for a command-line value; a NaN or infinite component
+    is a domain error that names the flag."""
+    z = parse_complex(text)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{flag} {text}: both components must be finite")
+    return z
+
+
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} {value}: must be nonnegative")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -93,11 +109,13 @@ def cmd_poly(args, cfg: RunConfig) -> int:
     if args.which == "hermite":
         val = None
         from .specfun import complex_hermite_exact
-        val = complex_hermite_exact(args.r, args.s, parse_complex(args.z))
+        val = complex_hermite_exact(args.r, args.s,
+                                    _complex_arg(args.z, "--z"))
         _emit(_scalar_payload(val, cfg, r=args.r, s=args.s), cfg)
         return 0
     if args.which == "assoc-hermite":
-        poly = spectral.assoc_hermite(args.n, args.s)
+        poly = spectral.assoc_hermite(_nonnegative(args.n, "--n"),
+                                      _nonnegative(args.s, "--s"))
         coeffs = [str(c) for c in poly.coeffs]  # exact integers as strings
         if cfg.fmt == "csv":
             _emit("degree,coefficient\n" + "".join(
@@ -113,7 +131,7 @@ def cmd_poly(args, cfg: RunConfig) -> int:
 def cmd_basis(args, cfg: RunConfig) -> int:
     if args.which == "phi":
         label = basis.BasisLabel(args.epsilon, args.n, args.s)
-        val = basis.phi(label, parse_complex(args.z))
+        val = basis.phi(label, _complex_arg(args.z, "--z"))
         _emit(_scalar_payload(val, cfg, epsilon=args.epsilon, n=args.n,
                               s=args.s), cfg)
         return 0
@@ -125,8 +143,8 @@ def cmd_basis(args, cfg: RunConfig) -> int:
 
 
 def cmd_kernel(args, cfg: RunConfig) -> int:
-    kv = basis.kernel(args.s, parse_complex(args.z), parse_complex(args.zprime),
-                      tol=cfg.tol)
+    kv = basis.kernel(args.s, _complex_arg(args.z, "--z"),
+                      _complex_arg(args.zprime, "--zprime"), tol=cfg.tol)
     _emit(_scalar_payload(kv.value, cfg, truncation_n=kv.truncation_n,
                           est_tail=kv.est_tail), cfg)
     return 0
@@ -204,7 +222,8 @@ def cmd_physics(args, cfg: RunConfig) -> int:
 def _emit_spectrum_table(args, cfg: RunConfig) -> int:
     if cfg.dim < 2:
         raise ValueError(f"--dim {cfg.dim}: the first gap needs --dim >= 2")
-    rows = physics.spectrum_compare(range(args.s_max + 1), cfg.dim)
+    rows = physics.spectrum_compare(
+        range(_nonnegative(args.s_max, "--s-max") + 1), cfg.dim)
     dicts = [r.to_dict() for r in rows]
     if cfg.fmt == "csv":
         head = list(dicts[0])
@@ -236,7 +255,7 @@ def cmd_export(args, cfg: RunConfig) -> int:
         return 0
     if args.object == "kernel-grid":
         pts = np.linspace(-args.extent, args.extent, args.grid_points)
-        zp = parse_complex(args.zprime)
+        zp = _complex_arg(args.zprime, "--zprime")
         lines = ["x,y,re,im"]
         for x in pts:
             for y in pts:

@@ -4,24 +4,33 @@ Every ladder coefficient and closed-form matrix entry in this package has the
 shape q*sqrt(d) with q rational and d a small positive integer.  Finite sums
 of such terms form a ring, so operator identities can be checked with residual
 exactly zero instead of "below tolerance".
+
+A coefficient q is stored as an int whenever it is integral and as a
+Fraction only where a denominator remains: int arithmetic is about a hundred
+times cheaper than Fraction arithmetic, and most ladder weights are integral
+multiples of a square root.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 import numpy as np
 
 _TRIAL_LIMIT = 100_000  # radicands here are smooth; see _split_square
 
 
+@lru_cache(maxsize=2048)
 def _split_square(d: int) -> tuple[int, int]:
     """Return (k, r) with d = k**2 * r and r squarefree.
 
     Works by trial division; inputs in this package are products of small
     integers and factorials, so all prime factors are tiny.  A cap plus a
-    perfect-square check keeps pathological inputs from spinning.
+    perfect-square check keeps pathological inputs from spinning.  Every
+    ladder and Jacobi weight is the root of a small integer, so the same
+    radicands recur thousands of times and results are memoised.
     """
     if d <= 0:
         raise ValueError("radicand must be positive")
@@ -47,8 +56,22 @@ def _split_square(d: int) -> tuple[int, int]:
     return k, rad
 
 
+def _rational(q):
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 class SqrtSum:
-    """A finite sum sum_d q_d * sqrt(d), q_d rational, d squarefree positive."""
+    """A finite sum sum_d q_d * sqrt(d), q_d rational, d squarefree positive.
+
+    terms maps d to q_d; no q_d is zero, and an integral q_d is an int.
+    Values are never mutated, so results may share a term dict or an
+    operand.
+    """
 
     __slots__ = ("terms",)
 
@@ -56,23 +79,26 @@ class SqrtSum:
         if isinstance(value, SqrtSum):
             self.terms = dict(value.terms)
         else:
-            q = Fraction(value)
+            q = _rational(value)
             self.terms = {1: q} if q else {}
 
     @classmethod
     def _from_terms(cls, terms: dict) -> "SqrtSum":
         obj = cls.__new__(cls)
-        obj.terms = {d: q for d, q in terms.items() if q}
+        obj.terms = {d: _rational(q) for d, q in terms.items() if q}
         return obj
 
     @classmethod
     def sqrt(cls, x) -> "SqrtSum":
         """Exact sqrt of a nonnegative rational: sqrt(p/q) = sqrt(p*q)/q."""
-        x = Fraction(x)
+        x = _rational(x)
         if x < 0:
             raise ValueError("sqrt of negative rational")
         if x == 0:
             return cls(0)
+        if type(x) is int:
+            k, rad = _split_square(x)
+            return cls._from_terms({rad: k})
         k, rad = _split_square(x.numerator * x.denominator)
         return cls._from_terms({rad: Fraction(k, x.denominator)})
 
@@ -82,34 +108,57 @@ class SqrtSum:
             return self
         if not self.terms:
             return other
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (d1, q1), = self.terms.items()
+            (d2, q2), = other.terms.items()
+            if d1 == d2:
+                return SqrtSum._from_terms({d1: q1 + q2})
+            obj = SqrtSum.__new__(SqrtSum)
+            obj.terms = {d1: q1, d2: q2}
+            return obj
         terms = dict(self.terms)
         for d, q in other.terms.items():
-            terms[d] = terms.get(d, Fraction(0)) + q
+            terms[d] = terms[d] + q if d in terms else q
         return SqrtSum._from_terms(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtSum._from_terms({d: -q for d, q in self.terms.items()})
+        obj = SqrtSum.__new__(SqrtSum)
+        obj.terms = {d: -q for d, q in self.terms.items()}
+        return obj
 
     def __sub__(self, other):
-        return self + (-(other if isinstance(other, SqrtSum) else SqrtSum(other)))
+        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        terms = dict(self.terms)
+        for d, q in other.terms.items():
+            terms[d] = terms[d] - q if d in terms else -q
+        return SqrtSum._from_terms(terms)
 
     def __rsub__(self, other):
-        return SqrtSum(other) + (-self)
+        return SqrtSum(other) - self
 
     def __mul__(self, other):
         other = other if isinstance(other, SqrtSum) else SqrtSum(other)
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return _ZERO
+        # d1, d2 squarefree: sqrt(d1 d2) = g sqrt((d1/g)(d2/g)), g = gcd
+        if len(a) == 1 and len(b) == 1:
+            (d1, q1), = a.items()
+            (d2, q2), = b.items()
+            g = gcd(d1, d2)
+            return SqrtSum._from_terms({(d1 // g) * (d2 // g): q1 * q2 * g})
         terms: dict = {}
-        for d1, q1 in self.terms.items():
-            for d2, q2 in other.terms.items():
-                if d1 == d2:
-                    k, rad = d1, 1
-                else:
-                    k, rad = _split_square(d1 * d2)
-                terms[rad] = terms.get(rad, Fraction(0)) + q1 * q2 * k
+        for d1, q1 in a.items():
+            for d2, q2 in b.items():
+                g = gcd(d1, d2)
+                rad = (d1 // g) * (d2 // g)
+                terms[rad] = terms.get(rad, 0) + q1 * q2 * g
         return SqrtSum._from_terms(terms)
 
     __rmul__ = __mul__
@@ -143,9 +192,8 @@ class ExactC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # a zero part copies _ZERO's empty terms, cheaper than Fraction(0)
-        self.re = re if isinstance(re, SqrtSum) else SqrtSum(re or _ZERO)
-        self.im = im if isinstance(im, SqrtSum) else SqrtSum(im or _ZERO)
+        self.re = re if isinstance(re, SqrtSum) else SqrtSum(re)
+        self.im = im if isinstance(im, SqrtSum) else SqrtSum(im)
 
     @classmethod
     def _coerce(cls, x) -> "ExactC":
@@ -165,19 +213,23 @@ class ExactC:
         return ExactC(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-ExactC._coerce(other))
+        o = ExactC._coerce(other)
+        return ExactC(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return ExactC._coerce(other) + (-self)
+        return ExactC._coerce(other) - self
 
     def __mul__(self, other):
         o = ExactC._coerce(other)
-        if not self.im.terms and not o.im.terms:
-            return ExactC(self.re * o.re)
-        if not self.re.terms and not o.re.terms:
-            return ExactC(-(self.im * o.im))
-        return ExactC(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        # a real factor skips the two products that vanish
+        if not b.terms:
+            return ExactC(a * c, a * d) if d.terms else ExactC(a * c)
+        if not d.terms:
+            return ExactC(a * c, b * c)
+        if not a.terms and not c.terms:
+            return ExactC(-(b * d))
+        return ExactC(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -189,7 +241,7 @@ class ExactC:
         return self.re == o.re and self.im == o.im
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.re.terms or self.im.terms)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -24,6 +24,10 @@ from fractions import Fraction
 from .exact import SqrtSum
 from .report import CheckResult
 
+# shared constants: SqrtSum values are never mutated
+_ZERO = SqrtSum(0)
+_ONE = SqrtSum(1)
+
 _KINDS = ("L", "G", "R")
 
 OPS = ("AL", "ALdag", "AR", "ARdag", "NL", "NR", "J")
@@ -122,7 +126,7 @@ def ladder_apply(which: str, idx: SectorIndex) -> WeightedIndexSum:
         val = idx.n + idx.s if idx.kind == "R" else idx.s
         return {idx: SqrtSum(val)} if val else {}
     if which == "J":
-        return {mirror_index(idx): SqrtSum(1)}
+        return {mirror_index(idx): _ONE}
     raise ValueError(f"unknown operator {which!r}")
 
 
@@ -130,7 +134,7 @@ def apply_to_sum(which: str, vec: WeightedIndexSum) -> WeightedIndexSum:
     out: WeightedIndexSum = {}
     for idx, coeff in vec.items():
         for jdx, c in ladder_apply(which, idx).items():
-            acc = out.get(jdx, SqrtSum(0)) + coeff * c
+            acc = out.get(jdx, _ZERO) + coeff * c
             if acc:
                 out[jdx] = acc
             elif jdx in out:
@@ -140,7 +144,7 @@ def apply_to_sum(which: str, vec: WeightedIndexSum) -> WeightedIndexSum:
 
 def apply_word(word, idx_or_vec) -> WeightedIndexSum:
     """Apply a product of generators, rightmost factor first."""
-    vec = ({idx_or_vec: SqrtSum(1)} if isinstance(idx_or_vec, SectorIndex)
+    vec = ({idx_or_vec: _ONE} if isinstance(idx_or_vec, SectorIndex)
            else dict(idx_or_vec))
     for which in reversed(word):
         vec = apply_to_sum(which, vec)
@@ -150,7 +154,7 @@ def apply_word(word, idx_or_vec) -> WeightedIndexSum:
 def sum_sub(a: WeightedIndexSum, b: WeightedIndexSum) -> WeightedIndexSum:
     out = dict(a)
     for idx, c in b.items():
-        acc = out.get(idx, SqrtSum(0)) - c
+        acc = out.get(idx, _ZERO) - c
         if acc:
             out[idx] = acc
         elif idx in out:
@@ -193,7 +197,7 @@ def verify_commutators_full(n_max: int, s_max: int) -> list:
     """Exact checks of the two mutually commuting oscillator algebras, the
     number-operator relations, and the mirror symmetry."""
     window = basis_window(n_max, s_max)
-    ident = lambda idx: {idx: SqrtSum(1)}
+    ident = lambda idx: {idx: _ONE}
     zero = lambda idx: {}
     checks = [
         _check_identity("ladder.commutator_AL_ALdag_is_identity",
@@ -221,7 +225,7 @@ def verify_commutators_full(n_max: int, s_max: int) -> list:
                         lambda i: apply_word(("J", "J"), i), ident, window),
         _check_identity("ladder.mirror_swaps_sectors",
                         lambda i: ladder_apply("J", i),
-                        lambda i: {mirror_index(i): SqrtSum(1)}, window),
+                        lambda i: {mirror_index(i): _ONE}, window),
         _check_identity("ladder.adjoint_pairing_AL",
                         lambda i: apply_word(("ALdag", "AL"), i),
                         lambda i: _scale(i, _pair_weight("AL", i)), window),
@@ -231,7 +235,7 @@ def verify_commutators_full(n_max: int, s_max: int) -> list:
 
 def _pair_weight(op: str, idx: SectorIndex) -> SqrtSum:
     img = ladder_apply(op, idx)
-    acc = SqrtSum(0)
+    acc = _ZERO
     for c in img.values():
         acc = acc + c * c
     return acc
@@ -243,13 +247,14 @@ def _scale(idx: SectorIndex, c: SqrtSum) -> WeightedIndexSum:
 
 def norm_squared(vec: WeightedIndexSum) -> Fraction:
     """Exact squared norm of a weighted index sum (basis is orthonormal)."""
-    acc = SqrtSum(0)
+    acc = _ZERO
     for c in vec.values():
         acc = acc + c * c
     terms = acc.terms
     if set(terms) - {1}:
         raise ArithmeticError("squared norm should be rational")
-    return terms.get(1, Fraction(0))
+    # a Fraction even when integral, so that a ratio of norms stays exact
+    return Fraction(terms.get(1, 0))
 
 
 def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
@@ -279,8 +284,8 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
     # Phi_n = b^n Phi_0 / sqrt(eps_n!) = phi_{0;n}/sqrt(n!);  Psi_n = sqrt(n!) phi_{0;n}
     worst = 0.0
     witness = None
-    vec_b = {ground(0): SqrtSum(1)}
-    vec_ad = {ground(0): SqrtSum(1)}
+    vec_b = {ground(0): _ONE}
+    vec_ad = {ground(0): _ONE}
     for n in range(1, n_max + 1):
         vec_b = apply_word(b_word, vec_b)
         vec_ad = apply_word(adag_word, vec_ad)

@@ -223,34 +223,48 @@ def complex_hermite_laguerre(s: int, n: int, z: complex) -> complex:
     return (-1) ** s * math.factorial(s) * z.conjugate() ** n * laguerre(s, n, t)
 
 
-def _exact_powers(re: Fraction, im: Fraction, k_max: int) -> list:
-    """(re + i im)^k as exact Fraction pairs, k = 0..k_max."""
-    out = [(Fraction(1), Fraction(0))]
+def _dyadic_grid(z: complex) -> tuple[int, int, int]:
+    """(a, b, e) with z = (a + i b) / 2^e exactly: the float components of z
+    are dyadic rationals sharing the integer grid 2^-e."""
+    (pr, qr), (pi, qi) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    e = max(qr, qi).bit_length() - 1
+    return pr << (e - qr.bit_length() + 1), pi << (e - qi.bit_length() + 1), e
+
+
+def _exact_powers(re: int, im: int, k_max: int) -> list:
+    """(re + i im)^k as exact int pairs, k = 0..k_max."""
+    out = [(1, 0)]
     for _ in range(k_max):
         pr, pi = out[-1]
         out.append((pr * re - pi * im, pr * im + pi * re))
     return out
 
 
+def _round_dyadic(num_r: int, num_i: int, e: int) -> complex:
+    """(num_r + i num_i) / 2^e with each component correctly rounded."""
+    return complex(num_r / (1 << e), num_i / (1 << e))
+
+
 def complex_hermite_exact(r: int, s: int, z: complex) -> complex:
     """Correctly rounded h^{r,s}(z, zbar): the double sum accumulated in exact
-    rational arithmetic (float components of z are exact rationals).
+    integer arithmetic on the grid 2^-e of the float components of z, the
+    degree-(r+s-2k) term lifted by 2^(2ke), with one rounding at the end.
 
     Factorial coefficient growth makes the float path lose digits near zeros
     of the polynomial beyond degree ~ 20; this backend does not.
     """
-    zr, zi = Fraction(z.real), Fraction(z.imag)
+    zr, zi, e = _dyadic_grid(complex(z))
     zp = _exact_powers(zr, zi, s)
     zbp = _exact_powers(zr, -zi, r)
-    acc_r = Fraction(0)
-    acc_i = Fraction(0)
+    acc_r = acc_i = 0
     for (i, j), c in complex_hermite_coeffs(r, s).items():
         ar, ai = zp[i]
         br, bi = zbp[j]
+        c <<= (r + s - i - j) * e
         acc_r += c * (ar * br - ai * bi)
         acc_i += c * (ar * bi + ai * br)
     try:
-        return complex(float(acc_r), float(acc_i))
+        return _round_dyadic(acc_r, acc_i, (r + s) * e)
     except OverflowError:
         raise OverflowError(
             f"h^{{r,s}}(z) at r = {r}, s = {s}, z = {z} exceeds the float "
@@ -259,12 +273,17 @@ def complex_hermite_exact(r: int, s: int, z: complex) -> complex:
 
 def complex_hermite_laguerre_exact(s: int, n: int, z: complex) -> complex:
     """Correctly rounded Laguerre form (-1)^s s! zbar^n L_s^(n)(|z|^2) via
-    exact rational arithmetic."""
-    zr, zi = Fraction(z.real), Fraction(z.imag)
+    exact integer arithmetic: with z = (a + i b)/2^e and T = a^2 + b^2,
+
+        s! L_s^(n)(|z|^2) 2^(2se) = sum_m (-1)^m C(s+n, s-m) (s!/m!) T^m 2^(2(s-m)e).
+    """
+    zr, zi, e = _dyadic_grid(complex(z))
     t = zr * zr + zi * zi
-    lag = Fraction(0)
-    for m, c in enumerate(laguerre_coeffs(s, n)):
-        lag += Fraction(c) * t**m
+    lag = 0
+    for m in range(s + 1):
+        lag += ((-1) ** m * math.comb(s + n, s - m)
+                * (math.factorial(s) // math.factorial(m))
+                * t ** m) << (2 * (s - m) * e)
     br, bi = _exact_powers(zr, -zi, n)[n]
-    pref = (-1) ** s * math.factorial(s) * lag
-    return complex(float(pref * br), float(pref * bi))
+    pref = (-1) ** s * lag
+    return _round_dyadic(pref * br, pref * bi, (2 * s + n) * e)

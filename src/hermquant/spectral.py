@@ -10,9 +10,9 @@ terminating 3F2 sums.
 
 Eigenvalues come from Sturm multisection on the float Jacobi matrix (tridiag);
 the exact polynomials serve the identity checks.  Exact polynomial
-arithmetic uses Fractions; float evaluation switches to a compensated
-(error-free transformation) Horner beyond degree 15, where naive evaluation
-near roots loses digits.
+recurrences run on integers scaled by powers of 2 and divide once at the
+end; float evaluation switches to a compensated (error-free transformation)
+Horner beyond degree 15, where naive evaluation near roots loses digits.
 """
 
 from __future__ import annotations
@@ -85,10 +85,8 @@ class PolyExact:
         return self.leading == 1
 
     def __eq__(self, other):
-        return isinstance(other, PolyExact) and \
-            all(Fraction(a) == Fraction(b) for a, b in
-                zip(self.coeffs, other.coeffs)) and \
-            len(self.coeffs) == len(other.coeffs)
+        # int == Fraction compares exactly
+        return isinstance(other, PolyExact) and self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"PolyExact({list(self.coeffs)})"
@@ -127,29 +125,41 @@ class JacobiMatrix:
         return Fraction(k + self.s, 2)
 
 
+def _unscale(coeffs, e: int) -> PolyExact:
+    """The polynomial with coefficients c / 2^e, each an int where the
+    division is exact and a Fraction otherwise."""
+    mask = (1 << e) - 1
+    return PolyExact([c >> e if not c & mask else Fraction(c, 1 << e)
+                      for c in coeffs])
+
+
 def monic_q(n: int, s: int) -> PolyExact:
     """Monic orthogonal polynomial from q_{k+1} = x q_k - c_k^2 q_{k-1},
-    with q_0 = 1, q_1 = x and c_k^2 = (k+s)/2; exact rational coefficients."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev = [Fraction(1)]
+    with q_0 = 1, q_1 = x and c_k^2 = (k+s)/2; exact rational coefficients.
+
+    The recurrence runs on the integer polynomials P_k = 2^(k//2) q_k,
+    P_{k+1} = 2^((k+1)//2 - k//2) x P_k - (k+s) P_{k-1}, and divides once at
+    the end.
+    """
+    if n < 0 or s < 0:
+        raise ValueError("need n >= 0 and s >= 0")
+    prev = [1]
     if n == 0:
         return PolyExact(prev)
-    cur = [Fraction(0), Fraction(1)]
+    cur = [0, 1]
     for k in range(1, n):
-        ck2 = Fraction(k + s, 2)
-        nxt = _shift(cur)
+        nxt = _shift(cur) if k % 2 == 0 else [2 * a for a in _shift(cur)]
         for i, a in enumerate(prev):
-            nxt[i] -= ck2 * a
+            nxt[i] -= (k + s) * a
         prev, cur = cur, nxt
-    return PolyExact(cur)
+    return _unscale(cur, n // 2)
 
 
 def assoc_hermite(n: int, s: int) -> PolyExact:
     """Shifted-index Hermite family from H_{k+1} = 2x H_k - 2(s+k) H_{k-1}
     with H_0 = 1; integer coefficients, classical Hermite at s = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if n < 0 or s < 0:
+        raise ValueError("need n >= 0 and s >= 0")
     prev = [0]
     cur = [1]
     for k in range(n):
@@ -162,18 +172,22 @@ def assoc_hermite(n: int, s: int) -> PolyExact:
 
 def char_poly(n: int, s: int) -> PolyExact:
     """det(x 1_n - Q_n) by expanding along the last row: successive leading
-    principal minors obey d_k = x d_{k-1} - c_{k-1}^2 d_{k-2}."""
+    principal minors obey d_k = x d_{k-1} - c_{k-1}^2 d_{k-2}.
+
+    Runs on the integer minors D_k = 2^k d_k, D_k = 2x D_{k-1} -
+    4 c_{k-1}^2 D_{k-2}, and divides by 2^n once at the end.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     jm = JacobiMatrix(s, n)
-    dets = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    dets = [[1], [0, 2]]
     for k in range(2, n + 1):
-        ck2 = jm.offdiag_sq(k - 1)
-        nxt = _shift(dets[-1])
+        ck2_4 = int(4 * jm.offdiag_sq(k - 1))
+        nxt = [2 * a for a in _shift(dets[-1])]
         for i, a in enumerate(dets[-2]):
-            nxt[i] -= ck2 * a
+            nxt[i] -= ck2_4 * a
         dets.append(nxt)
-    return PolyExact(dets[n])
+    return _unscale(dets[n], n)
 
 
 def eigenvalues(n: int, s: int) -> np.ndarray:

@@ -66,8 +66,13 @@ def test_poly_assoc_hermite_coefficients(capsys):
     (("poly", "hermite", "--r", "400", "--s", "400", "--z", "1+1i"),
      "r = 400"),
     (("physics", "table", "--dim", "1"), "--dim"),
+    (("poly", "assoc-hermite", "--n", "3", "--s", "-2"), "--s -2"),
+    (("poly", "hermite", "--r", "1", "--s", "1", "--z", "nan+1i"),
+     "--z nan+1i"),
+    (("physics", "table", "--s-max", "-1"), "--s-max -1"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
-        "table-dim-1"])
+        "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
+        "table-negative-s-max"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

@@ -93,6 +93,16 @@ def test_exact_identities_at_large_dimension(epsilon):
         assert check.passed and check.max_residual == 0.0, check
 
 
+def test_exact_identities_at_ten_thousand():
+    s, N = 2, 10**4
+    checks = [verify_weyl_commutator(s, N, "L"),
+              verify_almost_canonical(s, N, "L"),
+              *verify_square_identities(s, N)]
+    assert len(checks) == 7
+    for check in checks:
+        assert check.passed and check.max_residual == 0.0, check
+
+
 def test_perturbed_jacobi_weight_fails_the_commutator(monkeypatch):
     s = 2
 

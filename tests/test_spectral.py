@@ -211,3 +211,9 @@ def test_odd_s_half_integer_parameter_is_pole_free():
         for n in range(4):
             for check in assoc_hermite_laguerre_check(n, s):
                 assert check.passed, (s, n, check)
+
+
+def test_polynomial_families_reject_negative_sectors():
+    for family in (monic_q, assoc_hermite):
+        with pytest.raises(ValueError):
+            family(3, -2)

@@ -145,3 +145,53 @@ def test_si_commutator_fails_for_a_wrong_scale_product(monkeypatch):
         x * Fraction(1, 2) for x in scales(params)))
     check = {c.name: c for c in verify.suite_physics()}[name]
     assert not check.passed and check.max_residual > 0.0
+
+
+def test_ladder_commutator_fails_for_a_wrong_AL_weight(monkeypatch):
+    from hermquant import ladder
+    from hermquant.exact import SqrtSum
+
+    name = "ladder.commutator_AL_ALdag_is_identity"
+    rule = ladder._apply_AL
+
+    def wrong(idx):
+        # sqrt(s+n+1) where A_L (L,n,s) carries sqrt(s+n)
+        if idx.kind == "L":
+            return {ladder.left(idx.n - 1, idx.s): SqrtSum.sqrt(idx.s + idx.n + 1)}
+        return rule(idx)
+
+    assert {c.name: c for c in verify.suite_ladder()}[name].passed
+    monkeypatch.setattr(ladder, "_apply_AL", wrong)
+    check = {c.name: c for c in verify.suite_ladder()}[name]
+    assert not check.passed and check.max_residual > 0.1
+
+
+def test_nlpb_identity_fails_for_a_wrong_NL_eigenvalue(monkeypatch):
+    from hermquant import ladder
+    from hermquant.exact import SqrtSum
+
+    name = "nlpb.M_equals_NR_NL_squared"
+    rule = ladder.ladder_apply
+
+    def wrong(which, idx):
+        # n + s + 1 where N_L (L,n,s) has eigenvalue n + s
+        if which == "NL" and idx.kind == "L":
+            return {idx: SqrtSum(idx.n + idx.s + 1)}
+        return rule(which, idx)
+
+    assert {c.name: c for c in verify.suite_nlpb()}[name].passed
+    monkeypatch.setattr(ladder, "ladder_apply", wrong)
+    check = {c.name: c for c in verify.suite_nlpb()}[name]
+    assert not check.passed and check.max_residual >= 1.0
+
+
+def test_polynomial_routes_fail_for_a_wrong_jacobi_weight(monkeypatch):
+    from hermquant import spectral
+
+    name = "spectral.three_polynomial_routes_coincide"
+    monic_q = spectral.monic_q
+    # c_k^2 = (k+s+1)/2 in the monic recurrence instead of (k+s)/2
+    assert {c.name: c for c in verify.suite_spectral()}[name].passed
+    monkeypatch.setattr(spectral, "monic_q", lambda n, s: monic_q(n, s + 1))
+    check = {c.name: c for c in verify.suite_spectral()}[name]
+    assert not check.passed and check.witness == "n=20 s=6"
