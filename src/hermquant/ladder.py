@@ -18,8 +18,9 @@ genuine failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import SqrtSum
 from .report import CheckResult
@@ -33,25 +34,39 @@ _KINDS = ("L", "G", "R")
 OPS = ("AL", "ALdag", "AR", "ARdag", "NL", "NR", "J")
 
 
-@dataclass(frozen=True)
-class SectorIndex:
-    """One basis state of the decomposition: kind 'L'/'R' with n >= 1, or the
-    ground state kind 'G' carrying only s."""
-
+class _Fields(NamedTuple):
     kind: str
     n: int
     s: int
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
+
+class SectorIndex(_Fields):
+    """One basis state of the decomposition: kind 'L'/'R' with n >= 1, or the
+    ground state kind 'G' carrying only s.
+
+    A tuple underneath, so hashing and comparison run in C.  Constructing
+    one validates it; the ladder rules build the images of valid states with
+    `_state`, which skips the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int, s: int):
+        if kind not in _KINDS:
             raise ValueError("kind must be 'L', 'G' or 'R'")
-        if self.s < 0:
+        if s < 0:
             raise ValueError("s must be nonnegative")
-        if self.kind == "G":
-            if self.n != 0:
+        if kind == "G":
+            if n != 0:
                 raise ValueError("ground states carry n = 0")
-        elif self.n < 1:
+        elif n < 1:
             raise ValueError("starred sector states need n >= 1")
+        return tuple.__new__(cls, (kind, n, s))
+
+
+def _state(kind: str, n: int, s: int) -> SectorIndex:
+    """Unchecked SectorIndex: kind 'L'/'R' with n >= 1, or the ground state
+    when n = 0."""
+    return tuple.__new__(SectorIndex, ("G", 0, s) if n == 0 else (kind, n, s))
 
 
 def left(n: int, s: int) -> SectorIndex:
@@ -67,17 +82,16 @@ def ground(s: int) -> SectorIndex:
 
 
 def mirror_index(idx: SectorIndex) -> SectorIndex:
-    if idx.kind == "L":
-        return SectorIndex("R", idx.n, idx.s)
-    if idx.kind == "R":
-        return SectorIndex("L", idx.n, idx.s)
-    return idx
+    if idx.kind == "G":
+        return idx
+    return _state("R" if idx.kind == "L" else "L", idx.n, idx.s)
 
 
 # A WeightedIndexSum is a dict {SectorIndex: SqrtSum}; {} encodes annihilation.
 WeightedIndexSum = dict
 
 
+@lru_cache(maxsize=None)
 def _sq(k: int) -> SqrtSum:
     return SqrtSum.sqrt(k)
 
@@ -85,21 +99,21 @@ def _sq(k: int) -> SqrtSum:
 def _apply_AL(idx: SectorIndex) -> WeightedIndexSum:
     n, s = idx.n, idx.s
     if idx.kind == "L":
-        return {left(n - 1, s): _sq(s + n)}
+        return {_state("L", n - 1, s): _sq(s + n)}
     if s == 0:
         return {}
     if idx.kind == "G":
-        return {right(1, s - 1): _sq(s)}
-    return {right(n + 1, s - 1): _sq(s)}
+        return {_state("R", 1, s - 1): _sq(s)}
+    return {_state("R", n + 1, s - 1): _sq(s)}
 
 
 def _apply_ALdag(idx: SectorIndex) -> WeightedIndexSum:
     n, s = idx.n, idx.s
     if idx.kind == "L":
-        return {left(n + 1, s): _sq(s + n + 1)}
+        return {_state("L", n + 1, s): _sq(s + n + 1)}
     if idx.kind == "G":
-        return {left(1, s): _sq(s + 1)}
-    return {right(n - 1, s + 1): _sq(s + 1)}
+        return {_state("L", 1, s): _sq(s + 1)}
+    return {_state("R", n - 1, s + 1): _sq(s + 1)}
 
 
 def _mirror_sum(out: WeightedIndexSum) -> WeightedIndexSum:
@@ -134,7 +148,9 @@ def apply_to_sum(which: str, vec: WeightedIndexSum) -> WeightedIndexSum:
     out: WeightedIndexSum = {}
     for idx, coeff in vec.items():
         for jdx, c in ladder_apply(which, idx).items():
-            acc = out.get(jdx, _ZERO) + coeff * c
+            # the shared one starts every word and weights every J image
+            term = c if coeff is _ONE else coeff if c is _ONE else coeff * c
+            acc = out.get(jdx, _ZERO) + term
             if acc:
                 out[jdx] = acc
             elif jdx in out:

@@ -108,6 +108,35 @@ def test_normalization_scaled_matches_deficit():
             assert 0.0 < scaled <= 1.0
 
 
+def test_normalization_matches_mpmath_at_large_arguments():
+    # N_s(t) = e^t - sum_{m<s} (m!/s!) t^(s-m) L_m^(s-m)(t)^2 at 60 digits,
+    # the Laguerre sums written out: mpmath.laguerre does not converge at
+    # t = 700
+    mpmath = pytest.importorskip("mpmath")
+    worst = worst_scaled = 0.0
+    with mpmath.workdps(60):
+        for s in range(13):
+            for t in (0.25, 1.0, 4.0, 10.0, 30.0, 60.0, 120.0, 250.0, 450.0,
+                      700.0):
+                x = mpmath.mpf(t)
+                deficit = mpmath.mpf(0)
+                for m in range(s):
+                    a = s - m
+                    lag = mpmath.fsum((-1) ** k * math.comb(m + a, m - k)
+                                      * x ** k / math.factorial(k)
+                                      for k in range(m + 1))
+                    deficit += (mpmath.mpf(math.factorial(m))
+                                / math.factorial(s) * x ** a * lag ** 2)
+                want = mpmath.exp(x) - deficit
+                worst = max(worst, float(abs(normalization(s, t) - want)
+                                         / want))
+                want_scaled = want * mpmath.exp(-x)
+                worst_scaled = max(worst_scaled, float(
+                    abs(normalization_scaled(s, t) - want_scaled)
+                    / want_scaled))
+    assert worst <= 1e-12 and worst_scaled <= 1e-12, (worst, worst_scaled)
+
+
 def test_kernel_s0_is_exponential(rng):
     for _ in range(20):
         a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))

@@ -140,6 +140,34 @@ def test_verify_all_runs_clean_with_runtime_warnings_as_errors():
     body = json.loads(proc.stdout)
     assert body["n_checks"] == 150 and body["all_passed"] is True
     assert all(c["passed"] for c in body["checks"])
+    # stderr holds the 150 verdict lines and nothing from the workers
+    assert proc.stderr == "".join(
+        f"[pass] {c['name']} residual={c['max_residual']:.3e} "
+        f"tol={c['tol']:.1e}\n" for c in body["checks"])
+    # the verify pool's modules load only when "all" runs
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hermquant.cli; print(sorted("
+         "m for m in sys.modules "
+         "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_verify_all_reraises_a_suite_error_as_the_serial_run_does(
+        monkeypatch, capfd):
+    from hermquant import verify
+
+    def overflowing(seed=0):
+        raise OverflowError("e^t exceeds the float range")
+
+    monkeypatch.setitem(verify.SUITES, "quantize", overflowing)
+    serial = main(["verify", "--suite", "quantize"]), capfd.readouterr()
+    # capfd also captures what the forked workers write to the shared fds
+    pooled = main(["verify", "--suite", "all"]), capfd.readouterr()
+    assert serial == pooled
+    code, (out, err) = pooled
+    assert code == 2 and out == ""
+    assert err == "error: e^t exceeds the float range\n"
 
 
 def test_export_operator_matches_builder(tmp_path, capsys):

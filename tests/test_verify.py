@@ -147,11 +147,10 @@ def test_si_commutator_fails_for_a_wrong_scale_product(monkeypatch):
     assert not check.passed and check.max_residual > 0.0
 
 
-def test_ladder_commutator_fails_for_a_wrong_AL_weight(monkeypatch):
+def _patch_wrong_AL_weight(monkeypatch):
     from hermquant import ladder
     from hermquant.exact import SqrtSum
 
-    name = "ladder.commutator_AL_ALdag_is_identity"
     rule = ladder._apply_AL
 
     def wrong(idx):
@@ -160,10 +159,53 @@ def test_ladder_commutator_fails_for_a_wrong_AL_weight(monkeypatch):
             return {ladder.left(idx.n - 1, idx.s): SqrtSum.sqrt(idx.s + idx.n + 1)}
         return rule(idx)
 
-    assert {c.name: c for c in verify.suite_ladder()}[name].passed
     monkeypatch.setattr(ladder, "_apply_AL", wrong)
+
+
+def test_ladder_commutator_fails_for_a_wrong_AL_weight(monkeypatch):
+    name = "ladder.commutator_AL_ALdag_is_identity"
+    assert {c.name: c for c in verify.suite_ladder()}[name].passed
+    _patch_wrong_AL_weight(monkeypatch)
     check = {c.name: c for c in verify.suite_ladder()}[name]
     assert not check.passed and check.max_residual > 0.1
+
+
+def test_pooled_workers_see_a_patched_module(monkeypatch):
+    # the suites of "all" run in forked workers, which inherit the patch;
+    # a spawned or forkserver worker would re-import the module unpatched
+    name = "ladder.commutator_AL_ALdag_is_identity"
+    _patch_wrong_AL_weight(monkeypatch)
+    check = {c.name: c for c in verify.run("all", seed=5)}[name]
+    assert not check.passed and check.max_residual > 0.1
+
+
+@pytest.mark.parametrize("seed", [5, 99])
+def test_pooled_report_equals_suites_run_one_by_one(seed):
+    serial = [c for name in verify.SUITES for c in verify.run(name, seed)]
+    assert (verify.report_json(verify.run("all", seed), "all", seed)
+            == verify.report_json(serial, "all", seed))
+
+
+def test_hhat_gap_fails_without_the_ground_shift(monkeypatch):
+    from fractions import Fraction
+
+    from hermquant import matrices
+    from hermquant.exact import ExactC
+
+    name = "physics.substituted_hamiltonian_first_gap"
+    build = matrices.build_Hhat
+
+    def no_shift(s, N, epsilon="L"):
+        # n + s + 1/2 on every level: Hhat without its -(s/2) P0 term
+        diag = list(build(s, N, epsilon).exact[0])
+        diag[0] = diag[0] + ExactC(Fraction(s, 2))
+        return matrices.TruncatedOperator.from_exact({0: diag}, N, (0, 0),
+                                                     (epsilon, s))
+
+    assert {c.name: c for c in verify.suite_physics()}[name].passed
+    monkeypatch.setattr(matrices, "build_Hhat", no_shift)
+    check = {c.name: c for c in verify.suite_physics()}[name]
+    assert not check.passed and check.max_residual >= 0.5
 
 
 def test_nlpb_identity_fails_for_a_wrong_NL_eigenvalue(monkeypatch):
