@@ -7,8 +7,10 @@ The working functions are
     phi^L_{n;s}(z) = (-1)^s sqrt(s!/(s+n)!) e^{-|z|^2/2} zbar^n L_s^(n)(|z|^2)
 
 with phi^R the complex conjugate; for n = 0 both collapse to the same
-real-valued relative ground state.  Magnitudes are assembled in log space so
-large |z| neither overflows nor underflows.
+real-valued relative ground state.  `phi_values` is their one table over n
+and z: magnitudes are assembled in log space so large |z| neither overflows
+nor underflows, and `phi`, `reproduce`, `gamma_like_pdf` and the quadrature
+path of `quantize` all read it.
 """
 
 from __future__ import annotations
@@ -46,27 +48,53 @@ class BasisLabel:
             raise ValueError("n and s must be nonnegative")
 
 
-def _phi_left(n: int, s: int, z: complex) -> complex:
-    z = complex(z)
-    t = abs(z) ** 2
-    if z == 0:
-        return 0.0 if n > 0 else (-1) ** s * math.exp(0.0) * laguerre(s, 0, 0.0)
-    lag = laguerre(s, n, t)
-    if lag == 0.0:
-        return 0j
-    logmag = (0.5 * (log_factorial(s) - log_factorial(s + n))
-              - 0.5 * t + n * math.log(abs(z)) + math.log(abs(lag)))
-    phase = cmath.exp(-1j * n * cmath.phase(z))
-    sign = (-1) ** s * (1.0 if lag > 0 else -1.0)
-    if logmag < -745.0:
-        return 0j
-    return sign * math.exp(logmag) * phase
+def _log_phi(s: int, n, t) -> tuple:
+    """log|phi_{n;s}| and the sign of L_s^(n) at |z|^2 = t, with shape
+    n.shape + t.shape, from one Laguerre table:
+
+        log|phi| = (log s! - log (s+n)!)/2 - t/2 + (n/2) log t + log|L|
+
+    log|phi| is -inf at a zero of L and, for n > 0, at t = 0.
+    """
+    n = np.asarray(n)
+    t = np.asarray(t, dtype=float)
+    lag = laguerre_many(s, n, t)
+    n = n.reshape(n.shape + (1,) * t.ndim)
+    log_fac = np.vectorize(log_factorial, otypes=[float])(s + n)
+    with np.errstate(divide="ignore"):
+        logmag = (0.5 * (log_factorial(s) - log_fac) - 0.5 * t
+                  + 0.5 * n * np.log(np.where(n == 0, 1.0, t))
+                  + np.log(np.abs(lag)))
+    return logmag, np.sign(lag)
 
 
-def phi(label: BasisLabel, z: complex) -> complex:
-    """Value of the orthonormal basis function phi^eps_{n;s} at z."""
-    val = _phi_left(label.n, label.s, z)
+def phi_values(s: int, n, z):
+    """Table of phi^L_{n;s}(z) over an int or int array n and a scalar or
+    array z, with shape n.shape + z.shape; a complex when both are scalars.
+
+    The magnitude is assembled in log space, so large |z| and n neither
+    overflow nor underflow before the final exponential.
+    """
+    z = np.asarray(z, dtype=complex)
+    logmag, sign = _log_phi(s, n, np.abs(z) ** 2)
+    n = np.asarray(n).reshape(np.shape(n) + (1,) * z.ndim)
+    out = (-1) ** s * sign * np.exp(logmag) * np.exp(-1j * n * np.angle(z))
+    return out if out.ndim else complex(out)
+
+
+def phi(label: BasisLabel, z):
+    """Value of the orthonormal basis function phi^eps_{n;s} at z: a complex
+    for a scalar z, an array of z's shape for an array z."""
+    val = phi_values(label.s, label.n, z)
     return val.conjugate() if label.epsilon == "R" else val
+
+
+def _check_sector_and_t(s: int, t: float) -> None:
+    """The domain of N_s(t): s >= 0 and t >= 0."""
+    if s < 0:
+        raise ValueError(f"s = {s}: the sector label must be nonnegative")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
 
 
 def normalization(s: int, t: float) -> float:
@@ -74,8 +102,7 @@ def normalization(s: int, t: float) -> float:
 
         N_s(t) = e^t - sum_{m<s} (m!/s!) t^{s-m} (L_m^(s-m)(t))^2
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_sector_and_t(s, t)
     if t > _LOG_FLOAT_MAX:
         raise OverflowError(
             f"N_s(t) at t = {t} overflows a float: e^t exceeds "
@@ -95,6 +122,7 @@ def normalization_series(s: int, t: float, tol: float = 1e-14,
     terms.  Truncates once three consecutive terms drop below tol relative to
     the partial sum; returns (value, terms_used).
     """
+    _check_sector_and_t(s, t)
     total = 0.0
     small = 0
     fac = 1.0  # s!/(s+n)!
@@ -121,8 +149,7 @@ def normalization_deficit_log(s: int, t: float) -> float:
     bound N_s(t) < e^t (s >= 1, t > 0) stays checkable after e^t - N_s drops
     below float resolution of e^t.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_sector_and_t(s, t)
     terms = []
     for m in range(s):
         if t == 0.0:
@@ -140,8 +167,7 @@ def normalization_deficit_log(s: int, t: float) -> float:
 
 def normalization_scaled(s: int, t: float) -> float:
     """e^{-t} N_s(t), assembled stably for any t >= 0 (bounded in (0, 1])."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_sector_and_t(s, t)
     if t == 0.0:
         return 1.0
     acc = 1.0
@@ -217,45 +243,26 @@ def reproduce(s: int, z: complex, f, n_max: int, f_degree: float | None = None):
 
         integral d^2z'/pi e^{-(|z|^2+|z'|^2)/2} K_s(z, zbar') f(z') = f(z)
 
-    for f a finite combination of the phi_{m;s'}, m <= n_max.  The angular
-    integral kills every kernel term beyond n_max for such f, so the series
-    truncation at n_max is exact, and the polar rule is sized to be exact for
-    the remaining polynomial integrand.  f_degree bounds the radial degree of
-    e^{|z'|^2/2} f (default: n_max/2 + s).
+    for f a finite combination of the phi_{m;s'}, m <= n_max, given as a
+    function of an array of points z'.  The weighted kernel is
+    sum_n phi_{n;s}(z) conj(phi_{n;s}(z')), read from the phi table.  The
+    angular integral kills every kernel term beyond n_max for such f, so
+    the series truncation at n_max is exact, and the polar rule is sized to
+    be exact for the remaining polynomial integrand.  f_degree bounds the
+    radial degree of e^{|z'|^2/2} f (default: n_max/2 + s).
     """
-    z = complex(z)
     if f_degree is None:
         f_degree = n_max / 2 + s
     n_r = int(math.ceil(n_max / 2 + s + f_degree)) + 8
     m_ang = 2 * n_max + 3
     rule = gauss_laguerre_rule(n_r, m_ang)
     zg = grid_points(rule)
-    t = abs(z) ** 2
-    tp = rule.radial_nodes
-
-    ns = range(n_max + 1)
-    lag_t = laguerre_many(s, ns, t)
-    lag_tp = laguerre_many(s, ns, tp)
-    w = np.conj(z) * zg
-    kern = np.zeros_like(zg, dtype=complex)
-    wn = np.ones_like(zg, dtype=complex)
-    fac = 1.0
-    for n in ns:
-        if n > 0:
-            fac /= s + n
-            wn = wn * w
-        kern += fac * wn * lag_t[n] * lag_tp[n][:, None]
-
-    try:
-        fvals = f(zg)
-        fvals = np.asarray(fvals, dtype=complex)
-        if fvals.shape != zg.shape:
-            raise TypeError
-    except TypeError:
-        fvals = np.array([[complex(f(pt)) for pt in row] for row in zg])
-
-    integrand = np.exp(tp / 2.0)[:, None] * kern * fvals
-    return math.exp(-t / 2.0) * phase_space_integral(rule, integrand)
+    ns = np.arange(n_max + 1)
+    kern = np.tensordot(phi_values(s, ns, complex(z)),
+                        np.conj(phi_values(s, ns, zg)), axes=1)
+    # the rule's weights carry e^{-|z'|^2}: fold it back out, half per factor
+    half = np.exp(rule.radial_nodes / 2.0)[:, None]
+    return phase_space_integral(rule, (half * kern) * (half * f(zg)))
 
 
 def displacement_element(m: int, s: int, z: complex) -> complex:
@@ -270,22 +277,15 @@ def gamma_like_pdf(n, s: int, t):
     """Radial density [s!/(s+n)!] e^{-t} t^n (L_s^(n)(t))^2 on t >= 0;
     reduces to the gamma density e^{-t} t^n / n! at s = 0.
 
-    n is an int or an int array and t a scalar or an ndarray; the values
-    come from one Laguerre table over n and t, with shape n.shape + t.shape
-    as in `laguerre_many`, and a float when both are scalars.
+    n is an int or an int array and t a scalar or an ndarray; the density
+    is |phi_{n;s}|^2 at |z|^2 = t, read from the log-magnitude table behind
+    `phi_values`, with shape n.shape + t.shape, and a float when both are
+    scalars.
     """
-    n = np.asarray(n)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    lag = laguerre_many(s, n, t)
-    n = n.reshape(n.shape + (1,) * t.ndim)
-    log_fac = np.vectorize(log_factorial, otypes=[float])(s + n)
-    with np.errstate(divide="ignore"):
-        # log 0 = -inf at a zero of L, and at t = 0 for n > 0 (t^0 = 1)
-        logv = (log_factorial(s) - log_fac - t
-                + n * np.log(np.where(n == 0, 1.0, t))
-                + 2.0 * np.log(np.abs(lag)))
+    logv = 2.0 * _log_phi(s, n, t)[0]
     out = np.where(logv > -745.0, np.exp(logv), 0.0)
     return out if out.ndim else float(out)
 

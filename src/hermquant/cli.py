@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +54,12 @@ def _complex_arg(text: str, flag: str) -> complex:
 def _nonnegative(value: int, flag: str) -> int:
     if value < 0:
         raise ValueError(f"{flag} {value}: must be nonnegative")
+    return value
+
+
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} {value}: must be finite")
     return value
 
 
@@ -136,7 +143,8 @@ def cmd_basis(args, cfg: RunConfig) -> int:
                               s=args.s), cfg)
         return 0
     if args.which == "normalization":
-        val = basis.normalization(args.s, args.t)
+        val = basis.normalization(_nonnegative(args.s, "--s"),
+                                  _finite(args.t, "--t"))
         _emit(_scalar_payload(complex(val), cfg, s=args.s, t=args.t), cfg)
         return 0
     raise ValueError(f"unknown basis subcommand {args.which!r}")
@@ -254,47 +262,36 @@ def cmd_export(args, cfg: RunConfig) -> int:
         _emit(_matrix_payload(op, cfg), cfg)
         return 0
     if args.object == "kernel-grid":
-        pts = np.linspace(-args.extent, args.extent, args.grid_points)
         zp = _complex_arg(args.zprime, "--zprime")
-        lines = ["x,y,re,im"]
-        for x in pts:
-            for y in pts:
-                kv = basis.kernel(args.s, complex(x, y), zp, tol=cfg.tol)
-                lines.append(",".join([_fmt(x), _fmt(y)]
-                                      + _complex_row(kv.value)))
-        if cfg.fmt == "json":
-            rows = [dict(zip(("x", "y", "re", "im"),
-                             [float(v) for v in ln.split(",")]))
-                    for ln in lines[1:]]
-            _emit(json.dumps({"s": args.s, "zprime": args.zprime,
-                              "rows": rows}, indent=1, sort_keys=True) + "\n",
-                  cfg)
-        else:
-            _emit("\n".join(lines) + "\n", cfg)
-        return 0
+        return _emit_grid(args, cfg, lambda z: basis.kernel(
+            args.s, z, zp, tol=cfg.tol).value, s=args.s, zprime=args.zprime)
     if args.object == "lower-symbol-scan":
         op = _operator_by_name(args.operator, args.s, cfg.dim, args.epsilon)
-        pts = np.linspace(-args.extent, args.extent, args.grid_points)
-        lines = ["x,y,re,im"]
-        for x in pts:
-            for y in pts:
-                val = quantize.lower_symbol(op, complex(x, y), args.s,
-                                            args.epsilon, tol=1e-9)
-                lines.append(",".join([_fmt(x), _fmt(y)]
-                                      + _complex_row(val)))
-        if cfg.fmt == "json":
-            rows = [dict(zip(("x", "y", "re", "im"),
-                             [float(v) for v in ln.split(",")]))
-                    for ln in lines[1:]]
-            _emit(json.dumps({"operator": args.operator, "s": args.s,
-                              "rows": rows}, indent=1, sort_keys=True) + "\n",
-                  cfg)
-        else:
-            _emit("\n".join(lines) + "\n", cfg)
-        return 0
+        return _emit_grid(args, cfg, lambda z: quantize.lower_symbol(
+            op, z, args.s, args.epsilon, tol=1e-9),
+            operator=args.operator, s=args.s)
     if args.object == "spectrum-table":
         return _emit_spectrum_table(args, cfg)
     raise ValueError(f"unknown export object {args.object!r}")
+
+
+def _emit_grid(args, cfg: RunConfig, value, **meta) -> int:
+    """value(x + iy) on the square grid of --grid-points points per side
+    over [-extent, extent], as x,y,re,im rows; the JSON rows carry the same
+    floats as the CSV text, whose .17g digits round-trip them."""
+    extent = _finite(args.extent, "--extent")
+    pts = np.linspace(-extent, extent, args.grid_points).tolist()
+    rows = [(x, y, complex(value(complex(x, y)))) for x in pts for y in pts]
+    if cfg.fmt == "json":
+        body = [{"x": x, "y": y, "re": v.real, "im": v.imag}
+                for x, y, v in rows]
+        _emit(json.dumps({**meta, "rows": body}, indent=1, sort_keys=True)
+              + "\n", cfg)
+    else:
+        _emit("x,y,re,im\n" + "".join(
+            ",".join([_fmt(x), _fmt(y)] + _complex_row(v)) + "\n"
+            for x, y, v in rows), cfg)
+    return 0
 
 
 _BUILDERS = {

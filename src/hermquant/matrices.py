@@ -199,14 +199,20 @@ def ground_projector(N: int) -> TruncatedOperator:
     return TruncatedOperator.from_exact({0: diag}, N, (0, 0))
 
 
-def _commutator_check(name: str, a, b, c: ExactC, s: int, N: int,
-                      epsilon: str) -> CheckResult:
-    """[a, b] = c (1 + s P_0) on the interior N x N block, exactly, with a
-    and b built at N + 2."""
-    a, b = a(s, N + 2, epsilon).exact, b(s, N + 2, epsilon).exact
+def commutator_residual(a: dict, b: dict, c: ExactC, s: int, N: int):
+    """Largest entry of [a, b] - c (1 + s P_0) on the interior N x N block,
+    in exact arithmetic, for exact bands a and b built at N + 2."""
     comm = _leading(exact_sub(exact_matmul(a, b), exact_matmul(b, a)), N)
     want = {0: [c * (1 + s)] + [c] * (N - 1)}
-    res = exact_max_abs(exact_sub(comm, want))
+    return exact_max_abs(exact_sub(comm, want))
+
+
+def _commutator_check(name: str, a, b, c: ExactC, s: int, N: int,
+                      epsilon: str) -> CheckResult:
+    """[a, b] = c (1 + s P_0) on the interior N x N block, exactly, with the
+    builders a and b called at N + 2."""
+    res = commutator_residual(a(s, N + 2, epsilon).exact,
+                              b(s, N + 2, epsilon).exact, c, s, N)
     return CheckResult(f"matrices.{name}.{epsilon}.s{s}", res, 0.0, N * N,
                        f"s={s} eps={epsilon}")
 

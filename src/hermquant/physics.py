@@ -21,10 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import cs_coefficients
-from .exact import ExactC, SqrtSum, exact_matmul, exact_max_abs, exact_sub
+from .exact import ExactC, SqrtSum, exact_matmul
 from .matrices import (TruncatedOperator, band_matvec, build_A_z,
                        build_A_zbar, build_AH, build_Hhat, build_P, build_Q,
-                       eps_sign)
+                       commutator_residual, eps_sign)
 
 HBAR_SI = 1.054571817e-34     # J s
 C_SI = 299792458.0            # m / s
@@ -117,11 +117,8 @@ def si_commutator_residual(params: PhysicalParams, s: int, N: int,
     half = Fraction(1, 2)
     q = combine(ExactC(q_scale * half), ExactC(q_scale * half))
     p = combine(ExactC(0, -p_scale * half), ExactC(0, p_scale * half))
-    comm = exact_sub(exact_matmul(q, p), exact_matmul(p, q))
-    interior = {k: d[:N - abs(k)] for k, d in comm.items() if abs(k) < N}
     c = ExactC(0, -eps_sign(epsilon) * Fraction(params.hbar))
-    want = {0: [c * (1 + s)] + [c] * (N - 1)}
-    return exact_max_abs(exact_sub(interior, want))
+    return commutator_residual(q, p, c, s, N)
 
 
 def gamma_ratio(params: PhysicalParams) -> float:

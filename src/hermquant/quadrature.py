@@ -37,10 +37,6 @@ class QuadratureRule:
         self.radial_nodes.setflags(write=False)
         self.radial_weights.setflags(write=False)
 
-    @property
-    def n_radial(self) -> int:
-        return self.radial_nodes.size
-
     def angles(self) -> np.ndarray:
         m = self.angular_count
         return 2.0 * np.pi * np.arange(m) / m

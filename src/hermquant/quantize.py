@@ -20,11 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import cs_coefficients
+from .basis import _log_phi, cs_coefficients
 from .errors import HintViolation, PoleError
 from .matrices import TruncatedOperator, band_matvec, eps_sign
 from .quadrature import QuadratureRule, gauss_laguerre_rule, rule_for
-from .specfun import laguerre, laguerre_many, log_factorial
+from .specfun import laguerre, log_factorial
 
 
 def angular_phase_sign(epsilon: str) -> int:
@@ -131,7 +131,13 @@ def default_rule(f, s: int, N: int) -> QuadratureRule:
 def quantize_numeric(f, s: int, epsilon: str, N: int,
                      rule: QuadratureRule | None = None) -> TruncatedOperator:
     """Quantization of f by the double integral, using radial Gauss-Laguerre
-    times the exact uniform angular grid."""
+    times the exact uniform angular grid.
+
+    The radial factor of entry (n, n') is e^u phi_{n;s} phi_{n';s} at
+    |z|^2 = u, read from the log-magnitude table of `basis.phi_values`; the
+    entries are summed one band offset n' - n at a time, so the work arrays
+    hold O(N n_r) values.
+    """
     if rule is None:
         rule = default_rule(f, s, N)
     sgn = angular_phase_sign(epsilon)
@@ -140,23 +146,19 @@ def quantize_numeric(f, s: int, epsilon: str, N: int,
     m_ang = rule.angular_count
     fvals = f.sample(u, theta)
 
-    dmax = N - 1
-    ds = np.arange(-dmax, dmax + 1)
-    phases = np.exp(1j * sgn * np.outer(ds, theta))  # (2N-1, M)
-    angular = phases @ fvals.T / m_ang               # (2N-1, n_r)
+    # band offset d = n' - n carries the angular phase e^{-+i d theta}
+    ds = np.arange(1 - N, N)
+    phases = np.exp(-1j * sgn * np.outer(ds, theta))    # (2N-1, M)
+    angular = rule.radial_weights * (phases @ fvals.T) / m_ang  # (2N-1, n_r)
 
-    lag = laguerre_many(s, np.arange(N), u)
-    squ = np.sqrt(u)
+    # sqrt(s!/(s+n)!) u^{n/2} L_s^(n)(u): the phi factor with e^{-u/2} and
+    # the sector sign (-1)^s, which cancel in every product, taken out
+    logmag, sign = _log_phi(s, np.arange(N), u)
+    radial = sign * np.exp(logmag + 0.5 * u)
 
-    entries = np.zeros((N, N), dtype=complex)
-    logfac = [log_factorial(k + s) for k in range(N)]
-    for n in range(N):
-        for nprime in range(N):
-            pref = math.exp(log_factorial(s) - 0.5 * (logfac[n] + logfac[nprime]))
-            radial = rule.radial_weights * lag[n] * lag[nprime] * squ ** (n + nprime)
-            entries[n, nprime] = pref * np.dot(radial, angular[dmax + n - nprime])
-    return TruncatedOperator.from_dense(entries, -(N - 1), N - 1,
-                                        (epsilon, s))
+    bands = {d: (radial[:N - abs(d)] * radial[abs(d):]) @ angular[d + N - 1]
+             for d in ds.tolist()}
+    return TruncatedOperator(N, bands, 1 - N, N - 1, (epsilon, s))
 
 
 def lower_symbol(A: TruncatedOperator, z: complex, s: int,

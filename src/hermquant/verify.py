@@ -12,56 +12,62 @@ import inspect
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 
 from . import (__version__, basis, ladder, matrices, physics, quantize,
                spectral)
-from .basis import BasisLabel, kernel, kernel_s1_closed, normalization, \
-    normalization_series, phi, reproduce
+from .basis import kernel, kernel_s1_closed, normalization, \
+    normalization_series, reproduce
 from .quadrature import gauss_laguerre_rule, grid_points
 from .report import CheckResult
 from .specfun import (complex_hermite, complex_hermite_coeffs,
                       complex_hermite_exact, complex_hermite_laguerre,
-                      complex_hermite_laguerre_exact, laguerre_many)
+                      complex_hermite_laguerre_exact)
 
 QUAD_TOL = 1e-10
 REPRO_TOL = 1e-7
 
 
-def _family_gram(s: int, coefs) -> np.ndarray:
-    """Gram matrix of c_n zbar^n L_s^(n)(|z|^2), n < len(coefs), integrated
-    by a polar rule exact for every entry."""
-    n_max = len(coefs) - 1
+def _hermite_member(s: int, n: int):
+    """e^{-|z|^2/2} h^{s+n,s}(z, zbar), a member of the L sector s, from the
+    double sum of h: evaluated on a whole grid, without the phi table."""
+    coeffs = complex_hermite_coeffs(s + n, s)
+
+    def f(z):
+        return np.exp(-np.abs(z) ** 2 / 2.0) * sum(
+            c * z ** i * np.conj(z) ** j for (i, j), c in coeffs.items())
+    return f
+
+
+def _family_gram(s: int, n_max: int, family) -> np.ndarray:
+    """Gram matrix of the functions family(ns, z)[n], n <= n_max, each a
+    polynomial times e^{-|z|^2/2}, integrated by a polar rule exact for every
+    entry; family gives shape ns.shape + z.shape."""
     rule = gauss_laguerre_rule(n_max + 2 * s + 10, 2 * n_max + 3)
     zg = grid_points(rule).ravel()
-    ns = np.arange(n_max + 1)
-    vals = (np.asarray(coefs)[:, None] * np.conj(zg) ** ns[:, None]
-            * laguerre_many(s, ns, np.abs(zg) ** 2))
-    w = np.repeat(rule.radial_weights / rule.angular_count,
-                  rule.angular_count)
+    vals = family(np.arange(n_max + 1), zg)
+    # the rule's weights carry e^{-|z|^2}, which the functions already hold
+    w = np.repeat(np.exp(rule.radial_nodes) * rule.radial_weights
+                  / rule.angular_count, rule.angular_count)
     return (vals * w) @ vals.conj().T
 
 
 def hermite_orthogonality_residual(s: int, n_max: int) -> float:
     """Worst normalized residual of the Gram matrix of h^{s+n,s} against
     diag(s!(s+n)!), integrated by the exact polar rule."""
-    gram = _family_gram(s, [(-1) ** s * math.factorial(s)] * (n_max + 1))
+    gram = _family_gram(s, n_max, lambda ns, z: np.array(
+        [_hermite_member(s, n)(z) for n in ns]))
     norms = np.array([float(math.factorial(s) * math.factorial(s + n))
                       for n in range(n_max + 1)])
     scale = np.sqrt(np.outer(norms, norms))
     return float((np.abs(gram - np.diag(norms)) / scale).max())
 
 
-def _phi_coef(n: int, s: int) -> float:
-    """(-1)^s sqrt(s!/(s+n)!), the factor of zbar^n L_s^(n) in phi_{n;s}."""
-    return (-1) ** s * math.exp(
-        0.5 * (math.lgamma(s + 1) - math.lgamma(s + n + 1)))
-
-
 def phi_gram_residual(s: int, n_max: int) -> float:
     """Worst deviation of the phi_{n;s} Gram matrix from the identity."""
-    gram = _family_gram(s, [_phi_coef(n, s) for n in range(n_max + 1)])
+    gram = _family_gram(s, n_max, partial(basis.phi_values, s))
     return float(np.abs(gram - np.eye(n_max + 1)).max())
 
 
@@ -141,19 +147,18 @@ def suite_basis(seed: int = 20240901) -> list:
     checks.append(CheckResult(
         "basis.kernel_hermitian_symmetry", wsym, QUAD_TOL, 20))
 
+    # members in the double-sum form of h, which does not read the phi
+    # table that the kernel is built from
     worst = 0.0
     for s in (0, 1, 2):
-        target = BasisLabel("L", 0, s)
-        f = _phi_callable(target)
-        got = reproduce(s, 0.7 + 0.3j, f, n_max=4)
-        worst = max(worst, abs(got - phi(target, 0.7 + 0.3j)))
-    target = BasisLabel("L", 3, 1)
-    f = _phi_callable(target)
+        f = _hermite_member(s, 0)
+        worst = max(worst, abs(reproduce(s, 0.7 + 0.3j, f, n_max=4)
+                               - f(0.7 + 0.3j)))
+    f = _hermite_member(1, 3)
     for _ in range(5):
         pt = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        worst = max(worst, abs(reproduce(1, pt, f, n_max=5) - phi(target, pt)))
-    cross = BasisLabel("L", 2, 3)
-    worst_cross = abs(reproduce(1, 0.4 + 0.2j, _phi_callable(cross), n_max=4,
+        worst = max(worst, abs(reproduce(1, pt, f, n_max=5) - f(pt)))
+    worst_cross = abs(reproduce(1, 0.4 + 0.2j, _hermite_member(3, 2), n_max=4,
                                 f_degree=1 + 3))
     checks.append(CheckResult(
         "basis.kernel_reproduces_members", worst, REPRO_TOL, 8))
@@ -199,18 +204,6 @@ def suite_basis(seed: int = 20240901) -> list:
     checks.append(CheckResult("basis.displacement_monotonicity",
                               float(not ok), 0.0, 8))
     return checks
-
-
-def _phi_callable(label: BasisLabel):
-    """phi^eps_{n;s} evaluated on a whole grid of points at once."""
-    n, s = label.n, label.s
-
-    def f(zgrid):
-        t = np.abs(zgrid) ** 2
-        val = (_phi_coef(n, s) * np.exp(-t / 2) * np.conj(zgrid) ** n
-               * laguerre_many(s, n, t))
-        return np.conj(val) if label.epsilon == "R" else val
-    return f
 
 
 def suite_ladder() -> list:

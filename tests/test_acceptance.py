@@ -7,6 +7,7 @@ Everything here is identity- or oracle-based and runs at desk scale.
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -82,11 +83,10 @@ def test_criterion_04_kernel():
     worst_rep = 0.0
     for s in (0, 1, 2):
         lbl = BasisLabel("L", 0, s)
-        f = lambda zg, lbl=lbl: np.vectorize(lambda u: phi(lbl, u))(zg)
-        got = reproduce(s, 0.7 + 0.3j, f, n_max=4)
+        got = reproduce(s, 0.7 + 0.3j, partial(phi, lbl), n_max=4)
         worst_rep = max(worst_rep, abs(got - phi(lbl, 0.7 + 0.3j)))
     lbl = BasisLabel("L", 3, 1)
-    f = lambda zg: np.vectorize(lambda u: phi(lbl, u))(zg)
+    f = partial(phi, lbl)
     for _ in range(5):
         pt = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         worst_rep = max(worst_rep, abs(reproduce(1, pt, f, n_max=5) - phi(lbl, pt)))

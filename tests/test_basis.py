@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hermquant.basis import (BasisLabel, cs_coefficients,
                              displacement_element, gamma_like_pdf, kernel,
                              kernel_s1_closed, normalization,
                              normalization_deficit_log, normalization_scaled,
-                             normalization_series, phi, poisson_like_pmf,
-                             reproduce)
+                             normalization_series, phi, phi_values,
+                             poisson_like_pmf, reproduce)
 from hermquant import specfun
 from hermquant.errors import NonConvergence, TailError
 from hermquant.quadrature import gauss_laguerre_rule
@@ -19,12 +20,6 @@ from hermquant.specfun import laguerre, laguerre_coeffs, log_factorial
 from hermquant.verify import phi_gram_residual
 
 from conftest import laguerre_scale
-
-
-def _phi_vec(label):
-    def f(zgrid):
-        return np.vectorize(lambda u: phi(label, u))(zgrid)
-    return f
 
 
 def test_phi_ground_state_coincides_across_sectors():
@@ -51,6 +46,54 @@ def test_phi_large_argument_stays_finite():
     assert phi(BasisLabel("L", 900, 0), 30.0) != 0.0
 
 
+def test_phi_table_matches_mpmath_closed_form():
+    # the closed form at 40 digits, at the t = |z|^2 and arg z that the
+    # table receives as floats: rounding |z|^2 itself moves L_s^(n) near a
+    # zero by more than 1e-12 relative (L_1^(16) vanishes at t = 17)
+    mpmath = pytest.importorskip("mpmath")
+    ts = (0.0, 1e-3, 0.37, 1.9, 6.25, 17.0, 48.5, 121.0, 333.3, 640.0, 900.0)
+    angles = (0.3, 2.2, -1.1, 3.0, -2.6)
+    zs = np.array([math.sqrt(t) * cmath.exp(1j * angles[k % 5])
+                   for k, t in enumerate(ts)])
+    worst = 0.0
+    with mpmath.workdps(40):
+        tf = [mpmath.mpf(t) for t in (np.abs(zs) ** 2).tolist()]
+        th = [mpmath.mpf(a) for a in np.angle(zs).tolist()]
+        for s in range(13):
+            ns = list(range(61)) + ([900] if s == 0 else [])
+            table = phi_values(s, np.array(ns), zs)
+            assert table.shape == (len(ns), zs.size)
+            for n, row in zip(ns, table):
+                # s! L_s^(n)(t) = sum_m (-1)^m C(s+n, s-m) (s!/m!) t^m
+                coeffs = [(-1) ** m * math.comb(s + n, s - m)
+                          * (math.factorial(s) // math.factorial(m))
+                          for m in range(s, -1, -1)]
+                pref = (-1) ** s / mpmath.sqrt(
+                    math.factorial(s) * mpmath.mpf(math.factorial(s + n)))
+                for got, t, a in zip(row, tf, th):
+                    want = complex(pref * mpmath.polyval(coeffs, t)
+                                   * mpmath.exp(-t / 2) * t ** (n / 2)
+                                   * mpmath.expj(-n * a))
+                    if abs(want) > 1e-290:
+                        worst = max(worst, abs(got - want) / abs(want))
+                    else:
+                        assert abs(got) <= 1e-290, (s, n, float(t))
+    assert worst <= 1e-12
+
+
+def test_phi_scalar_and_array_forms_and_sectors():
+    zs = np.array([[0.0, 0.4 - 1.2j], [2.5 + 0.1j, -3.0j]])
+    for s, n in ((0, 0), (2, 0), (1, 3), (4, 7)):
+        table = phi(BasisLabel("L", n, s), zs)
+        assert table.shape == zs.shape
+        assert np.array_equal(phi(BasisLabel("R", n, s), zs), np.conj(table))
+        for z, want in zip(zs.ravel().tolist(), table.ravel().tolist()):
+            left = phi(BasisLabel("L", n, s), z)
+            assert type(left) is complex and left == want
+            assert phi(BasisLabel("R", n, s), z) == want.conjugate()
+    assert phi_values(1, np.arange(6).reshape(2, 3), zs).shape == (2, 3, 2, 2)
+
+
 def test_phi_gram_identity_to_1e9():
     worst = max(phi_gram_residual(s, 10) for s in range(5))
     assert worst < 1e-9
@@ -63,8 +106,8 @@ def test_phi_cross_sector_orthogonality():
     zg = np.sqrt(rule.radial_nodes)[:, None] * np.exp(1j * thetas)[None, :]
     cases = [((2, 1), (1, 1)), ((1, 0), (2, 3)), ((0, 1), (0, 2)), ((0, 1), (0, 1))]
     for (n1, s1), (n2, s2) in cases:
-        f1 = np.vectorize(lambda u: phi(BasisLabel("L", n1, s1), u))(zg)
-        f2 = np.vectorize(lambda u: phi(BasisLabel("R", n2, s2), u))(zg)
+        f1 = phi(BasisLabel("L", n1, s1), zg)
+        f2 = phi(BasisLabel("R", n2, s2), zg)
         gaussians = np.exp(np.abs(zg) ** 2)  # fold the rule weight back out
         val = np.dot(rule.radial_weights,
                      (np.conj(f1) * f2 * gaussians).mean(axis=1))
@@ -97,6 +140,16 @@ def test_normalization_strict_upper_bound():
 def test_normalization_deficit_vanishes_only_at_zero_or_s_zero():
     assert normalization_deficit_log(0, 3.0) == -math.inf
     assert normalization_deficit_log(3, 0.0) == -math.inf
+
+
+@pytest.mark.parametrize("fn", [normalization, normalization_series,
+                                normalization_scaled,
+                                normalization_deficit_log])
+def test_normalization_rejects_negative_arguments(fn):
+    with pytest.raises(ValueError, match="s = -1"):
+        fn(-1, 1.0)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        fn(2, -0.5)
 
 
 def test_normalization_scaled_matches_deficit():
@@ -180,13 +233,13 @@ def test_kernel_nonconvergence_budget():
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_reproducing_property_ground_state(s):
     target = BasisLabel("L", 0, s)
-    got = reproduce(s, 0.7 + 0.3j, _phi_vec(target), n_max=4)
+    got = reproduce(s, 0.7 + 0.3j, partial(phi, target), n_max=4)
     assert abs(got - phi(target, 0.7 + 0.3j)) < 1e-7
 
 
 def test_reproducing_property_excited_state(rng):
     target = BasisLabel("L", 3, 1)
-    f = _phi_vec(target)
+    f = partial(phi, target)
     for _ in range(5):
         pt = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         assert abs(reproduce(1, pt, f, n_max=5) - phi(target, pt)) < 1e-7
@@ -194,7 +247,8 @@ def test_reproducing_property_excited_state(rng):
 
 def test_reproducing_kills_other_sectors():
     alien = BasisLabel("L", 2, 3)
-    got = reproduce(1, 0.5 + 0.2j, _phi_vec(alien), n_max=4, f_degree=1 + 3)
+    got = reproduce(1, 0.5 + 0.2j, partial(phi, alien), n_max=4,
+                    f_degree=1 + 3)
     assert abs(got) < 1e-7
 
 

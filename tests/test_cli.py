@@ -70,9 +70,17 @@ def test_poly_assoc_hermite_coefficients(capsys):
     (("poly", "hermite", "--r", "1", "--s", "1", "--z", "nan+1i"),
      "--z nan+1i"),
     (("physics", "table", "--s-max", "-1"), "--s-max -1"),
+    (("basis", "normalization", "--s", "-1", "--t", "1"), "--s -1"),
+    (("basis", "normalization", "--s", "2", "--t", "nan"), "--t nan"),
+    (("export", "--object", "lower-symbol-scan", "--operator", "AH",
+      "--extent", "nan", "--grid-points", "2", "--dim", "20"), "--extent nan"),
+    (("export", "--object", "kernel-grid", "--extent", "nan"),
+     "--extent nan"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
-        "table-negative-s-max"])
+        "table-negative-s-max", "normalization-negative-s",
+        "normalization-nan-t", "symbol-scan-nan-extent",
+        "kernel-grid-nan-extent"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -222,6 +230,26 @@ def test_lower_symbol_scan_export(tmp_path, capsys):
         x, y, re, im = (float(v) for v in ln.split(","))
         assert re == pytest.approx(x * x + y * y + 1.0, abs=1e-9)
         assert abs(im) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("--object", "kernel-grid", "--s", "1", "--zprime", "0.4+0.1i"),
+    ("--object", "lower-symbol-scan", "--operator", "Aq2", "--s", "2",
+     "--dim", "40"),
+], ids=["kernel-grid", "lower-symbol-scan"])
+def test_grid_export_json_rows_equal_csv_rows(capsys, argv):
+    grid = ("export",) + argv + ("--extent", "1.3", "--grid-points", "4")
+    code, csv_text, _ = run_cli(capsys, *grid, "--format", "csv")
+    assert code == 0
+    code, json_text, _ = run_cli(capsys, *grid, "--format", "json")
+    assert code == 0
+    lines = csv_text.splitlines()
+    rows = json.loads(json_text)["rows"]
+    assert lines[0] == "x,y,re,im" and len(lines) == 1 + len(rows) == 17
+    for ln, row in zip(lines[1:], rows):
+        # repr tells -0.0 from 0.0
+        assert ([repr(float(v)) for v in ln.split(",")]
+                == [repr(row[k]) for k in ("x", "y", "re", "im")])
 
 
 def test_byte_identical_reruns(capsys):

@@ -130,6 +130,14 @@ def test_closed_form_vs_numeric_integral():
     assert worst < 1e-10
 
 
+def test_numeric_quantization_stays_finite_at_large_dim():
+    # u^{(n+n')/2} alone overflows a float at N = 150, a RuntimeWarning and
+    # so an error here; the radial factors come from log magnitudes instead
+    numeric = quantize_numeric(Monomial(2, 1), 3, "R", 150).entries
+    closed = quantize_monomial(2, 1, 3, "R", 150).entries
+    assert np.abs(numeric - closed).max() <= 1e-12 * np.abs(closed).max()
+
+
 def test_band_selection_rule():
     for s in range(3):
         for eps in ("L", "R"):

@@ -147,6 +147,46 @@ def test_si_commutator_fails_for_a_wrong_scale_product(monkeypatch):
     assert not check.passed and check.max_residual > 0.0
 
 
+# the checks that read the phi table, directly or through reproduce,
+# gamma_like_pdf and quantize_numeric
+PHI_GUARDS = {"basis.phi_gram_is_identity", "basis.kernel_reproduces_members",
+              "quantize.closed_form_vs_integral",
+              "basis.radial_density_normalized"}
+
+
+def _failed_phi_guards() -> set:
+    checks = verify.run("basis", seed=5) + verify.run("quantize", seed=5)
+    return {c.name for c in checks if not c.passed} & PHI_GUARDS
+
+
+def test_phi_guards_fail_for_a_wrong_factorial_prefactor(monkeypatch):
+    from hermquant import basis, quantize
+
+    assert _failed_phi_guards() == set()
+    log_phi = basis._log_phi
+
+    def wrong(s, n, t):
+        # sqrt(s!/(s+n+1)!) where phi carries sqrt(s!/(s+n)!)
+        logmag, sign = log_phi(s, n, t)
+        n = np.asarray(n).reshape(np.shape(n) + (1,) * np.ndim(t))
+        return logmag - 0.5 * np.log(s + n + 1.0), sign
+
+    monkeypatch.setattr(basis, "_log_phi", wrong)
+    monkeypatch.setattr(quantize, "_log_phi", wrong)
+    assert _failed_phi_guards()
+
+
+def test_phi_guards_fail_for_a_wrong_phase_convention(monkeypatch):
+    from hermquant import basis
+
+    assert _failed_phi_guards() == set()
+    phi_values = basis.phi_values
+    # z^n in place of zbar^n: the rest of phi^L is real
+    monkeypatch.setattr(basis, "phi_values",
+                        lambda s, n, z: np.conj(phi_values(s, n, z)))
+    assert _failed_phi_guards()
+
+
 def _patch_wrong_AL_weight(monkeypatch):
     from hermquant import ladder
     from hermquant.exact import SqrtSum
