@@ -3,6 +3,11 @@ phase-space functions, and spectral analysis of the resulting position and
 momentum operators, with every closed form backed by an independent
 representation or quadrature check."""
 
+import os
+
+# banded operators with N in the hundreds gain nothing from a spinning BLAS pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .basis import (BasisLabel, KernelValue, cs_coefficients,
                     displacement_element, gamma_like_pdf, kernel,
                     kernel_s1_closed, normalization, normalization_series,

@@ -121,8 +121,7 @@ def cmd_poly(args, cfg: RunConfig) -> int:
         _emit(_scalar_payload(val, cfg, r=args.r, s=args.s), cfg)
         return 0
     if args.which == "assoc-hermite":
-        poly = spectral.assoc_hermite(_nonnegative(args.n, "--n"),
-                                      _nonnegative(args.s, "--s"))
+        poly = spectral.assoc_hermite(_nonnegative(args.n, "--n"), args.s)
         coeffs = [str(c) for c in poly.coeffs]  # exact integers as strings
         if cfg.fmt == "csv":
             _emit("degree,coefficient\n" + "".join(
@@ -143,8 +142,7 @@ def cmd_basis(args, cfg: RunConfig) -> int:
                               s=args.s), cfg)
         return 0
     if args.which == "normalization":
-        val = basis.normalization(_nonnegative(args.s, "--s"),
-                                  _finite(args.t, "--t"))
+        val = basis.normalization(args.s, _finite(args.t, "--t"))
         _emit(_scalar_payload(complex(val), cfg, s=args.s, t=args.t), cfg)
         return 0
     raise ValueError(f"unknown basis subcommand {args.which!r}")
@@ -429,6 +427,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _config(args)
     try:
+        # every command's --s is a sector or a Hermite index
+        _nonnegative(getattr(args, "s", 0), "--s")
         return _DISPATCH[args.command](args, cfg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -182,7 +182,10 @@ def infimum_scan(s: int, z: complex = 1.0 + 0.0j,
     For each width the gap <A_{q^2}> - <Q^2> = (s + 1/2) + (s/2)|<e_0|w>|^2
     is evaluated honestly through banded expectation values; the ground-state
     overlap dies off exponentially as sigma -> 0, so the extrapolated limit
-    is the spectral infimum shift s + 1/2.  Returns (extrapolated, samples).
+    is the spectral infimum shift s + 1/2.  Each expectation value is the
+    math.fsum of its element-wise products, correctly rounded in any order,
+    so the samples do not depend on the BLAS thread count.  Returns
+    (extrapolated, samples).
     """
     samples = []
     for sigma in sigmas:
@@ -193,12 +196,13 @@ def infimum_scan(s: int, z: complex = 1.0 + 0.0j,
         n = np.arange(dim, dtype=float)
         # <A_{q^2}>: diagonal n + 2s + 1 plus the double-shift band
         off2 = np.sqrt((n[: dim - 2] + s + 1.0) * (n[: dim - 2] + s + 2.0)) / 2.0
-        val_a = float(np.dot(n + 2 * s + 1.0, np.abs(c) ** 2))
-        val_a += 2.0 * float(np.real(np.sum(off2 * np.conj(c[:-2]) * c[2:])))
+        val_a = math.fsum(((n + 2 * s + 1.0) * np.abs(c) ** 2).tolist())
+        val_a += 2.0 * math.fsum(
+            np.real(off2 * np.conj(c[:-2]) * c[2:]).tolist())
         # <Q^2> = ||Q c||^2 with the tridiagonal position matrix
         cpl = np.sqrt((n[: dim - 1] + s + 1.0) / 2.0)
         qc = band_matvec({1: cpl, -1: cpl}, c)
-        val_q = float(np.vdot(qc, qc).real)
+        val_q = math.fsum((qc.view(float) ** 2).tolist())
         samples.append(val_a - val_q)
     return aitken_extrapolate(samples), samples
 

@@ -21,6 +21,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_env(**extra) -> dict:
+    """The environment for a fresh interpreter that imports hermquant from
+    this checkout, with extra variables set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_parse_complex_forms():
     assert parse_complex("1+2i") == 1 + 2j
     assert parse_complex("-0.5-1i") == -0.5 - 1j
@@ -76,16 +86,39 @@ def test_poly_assoc_hermite_coefficients(capsys):
       "--extent", "nan", "--grid-points", "2", "--dim", "20"), "--extent nan"),
     (("export", "--object", "kernel-grid", "--extent", "nan"),
      "--extent nan"),
+    (("kernel", "--s", "-1", "--z", "1", "--zprime", "1"), "--s -1"),
+    (("quantize", "--a", "1", "--b", "0", "--s", "-1", "--dim", "4"),
+     "--s -1"),
+    (("quantize", "--a", "1", "--b", "0", "--s", "-1", "--dim", "4",
+      "--method", "numeric"), "--s -1"),
+    (("spectrum", "eigenvalues", "--s", "-1", "--dim", "3"), "--s -1"),
+    (("spectrum", "measure", "--s", "-1", "--dim", "3"), "--s -1"),
+    (("export", "--object", "operator", "--operator", "Q", "--s", "-1",
+      "--dim", "3"), "--s -1"),
+    (("export", "--object", "kernel-grid", "--s", "-1", "--grid-points", "2"),
+     "--s -1"),
+    (("export", "--object", "lower-symbol-scan", "--operator", "AH",
+      "--s", "-1", "--grid-points", "2", "--dim", "4"), "--s -1"),
+    (("export", "--object", "spectrum-table", "--s", "-1", "--dim", "3"),
+     "--s -1"),
+    (("basis", "phi", "--n", "1", "--s", "-1", "--z", "1"), "--s -1"),
+    (("physics", "hamiltonian", "--s", "-1", "--dim", "4"), "--s -1"),
+    (("poly", "hermite", "--r", "1", "--s", "-1", "--z", "1"), "--s -1"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
         "table-negative-s-max", "normalization-negative-s",
         "normalization-nan-t", "symbol-scan-nan-extent",
-        "kernel-grid-nan-extent"])
+        "kernel-grid-nan-extent", "kernel-negative-s",
+        "quantize-closed-negative-s", "quantize-numeric-negative-s",
+        "eigenvalues-negative-s", "measure-negative-s",
+        "export-operator-negative-s", "export-kernel-grid-negative-s",
+        "export-symbol-scan-negative-s", "export-table-negative-s",
+        "phi-negative-s", "hamiltonian-negative-s", "hermite-negative-s"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    # an overflow names the offending argument
+    # the message names the offending argument
     assert needle in err
 
 
@@ -136,10 +169,7 @@ def test_verify_suite_exit_codes(capsys):
 def test_verify_all_runs_clean_with_runtime_warnings_as_errors():
     # the pytest warning filter covers only in-process code; a fresh
     # interpreter checks the CLI path, vectorised logs of zeros included
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = cli_env()
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "hermquant.cli",
          "verify", "--suite", "all", "--seed", "5"],
@@ -301,3 +331,32 @@ def test_physics_hamiltonian_modes(capsys):
                            "--omega", "3e15", "--dim", "5")
     rep = json.loads(out)
     assert rep["compton_choice"] is True and rep["gamma"] > 0
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs the Linux per-thread /proc entries")
+def test_import_starts_no_blas_threads():
+    code = ("import os, hermquant.cli; "
+            "print(len(os.listdir('/proc/self/task')), "
+            "os.environ['OPENBLAS_NUM_THREADS'])")
+    env = cli_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "1 1\n", proc.stderr
+    # a value set by the caller wins
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env(OPENBLAS_NUM_THREADS="2"),
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.split()[1] == "2", proc.stderr
+
+
+def test_spectrum_table_bytes_do_not_depend_on_blas_threads():
+    argv = [sys.executable, "-m", "hermquant.cli", "physics", "table",
+            "--s-max", "4", "--dim", "200"]
+    outs = [subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                           env=cli_env(OPENBLAS_NUM_THREADS=n))
+            for n in ("1", "2")]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout

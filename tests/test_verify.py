@@ -147,6 +147,52 @@ def test_si_commutator_fails_for_a_wrong_scale_product(monkeypatch):
     assert not check.passed and check.max_residual > 0.0
 
 
+def _basis_check(name: str) -> CheckResult:
+    return {c.name: c for c in verify.suite_basis(seed=5)}[name]
+
+
+def test_hermite_orthogonality_fails_without_the_alternating_sign(
+        monkeypatch):
+    name = "basis.hermite_family_orthogonality"
+    assert _basis_check(name).passed
+    coeffs = verify.complex_hermite_coeffs
+    # |c| drops the (-1)^k of the double sum of h^{r,s}
+    monkeypatch.setattr(verify, "complex_hermite_coeffs", lambda r, s: {
+        ij: abs(c) for ij, c in coeffs(r, s).items()})
+    check = _basis_check(name)
+    assert not check.passed and check.max_residual > 0.1
+
+
+def test_normalization_check_fails_for_a_wrong_factorial_ratio(monkeypatch):
+    from hermquant.specfun import laguerre
+
+    name = "basis.normalization_closed_vs_series"
+    assert _basis_check(name).passed
+
+    def wrong(s, t):
+        # m!/(s+1)! where the closed form carries m!/s!
+        return math.exp(t) - sum(
+            math.factorial(m) / math.factorial(s + 1)
+            * t ** (s - m) * laguerre(m, s - m, t) ** 2 for m in range(s))
+
+    monkeypatch.setattr(verify, "normalization", wrong)
+    check = _basis_check(name)
+    assert not check.passed and check.max_residual > 1e-3
+
+
+def test_radial_density_check_fails_for_a_scaled_density(monkeypatch):
+    from hermquant import basis
+
+    name = "basis.radial_density_normalized"
+    assert _basis_check(name).passed
+    pdf = basis.gamma_like_pdf
+    # a relative error of 1e-8, a hundred times the check's tolerance
+    monkeypatch.setattr(basis, "gamma_like_pdf",
+                        lambda n, s, t: (1.0 + 1e-8) * pdf(n, s, t))
+    check = _basis_check(name)
+    assert not check.passed and check.max_residual > 5e-9
+
+
 # the checks that read the phi table, directly or through reproduce,
 # gamma_like_pdf and quantize_numeric
 PHI_GUARDS = {"basis.phi_gram_is_identity", "basis.kernel_reproduces_members",
