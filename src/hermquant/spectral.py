@@ -192,7 +192,9 @@ def char_poly(n: int, s: int) -> PolyExact:
 
 def eigenvalues(n: int, s: int) -> np.ndarray:
     """Eigenvalues of the n-section, ascending, by Sturm multisection on the
-    Jacobi matrix (see tridiag.eigenvalues)."""
+    Jacobi matrix from certified LAPACK brackets (see tridiag.eigenvalues).
+    Sturm counts set every digit: each value is the midpoint of a bracket
+    2^-60 of the Gershgorin span wide."""
     return tridiag.eigenvalues(np.zeros(n), JacobiMatrix(s, n).offdiag())
 
 

@@ -12,6 +12,7 @@ import inspect
 import json
 import math
 import os
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -311,7 +312,6 @@ def suite_spectral() -> list:
             q = spectral.monic_q(n, s)
             h = spectral.assoc_hermite(n, s)
             c = spectral.char_poly(n, s)
-            from fractions import Fraction
             h_scaled = spectral.PolyExact(
                 [Fraction(a, 2 ** n) for a in h.coeffs])
             if not (q == c and q == h_scaled and q.is_monic()):

@@ -360,3 +360,15 @@ def test_spectrum_table_bytes_do_not_depend_on_blas_threads():
             for n in ("1", "2")]
     assert [p.returncode for p in outs] == [0, 0]
     assert outs[0].stdout == outs[1].stdout
+
+
+def test_spectrum_eigenvalue_bytes_do_not_depend_on_blas_threads():
+    # the LAPACK estimates only place the starting brackets; Sturm counts
+    # set the printed digits
+    argv = [sys.executable, "-m", "hermquant.cli", "spectrum", "eigenvalues",
+            "--s", "1", "--dim", "300"]
+    outs = [subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                           env=cli_env(OPENBLAS_NUM_THREADS=n))
+            for n in ("1", "2")]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout

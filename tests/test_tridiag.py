@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hermquant import tridiag
 from hermquant.tridiag import eigenvalues
 
 KINDS = ("generic", "split", "repeated-diagonal", "zero-diagonal")
@@ -30,3 +33,99 @@ def test_multisection_matches_eigvalsh(n, kind):
     assert got.shape == (n,)
     assert np.abs(got - ref).max() <= 1e-12 * radius
 
+
+def _span(diag, off):
+    # the Gershgorin span the brackets' final width refers to
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    return np.max(diag + radius) - np.min(diag - radius)
+
+
+def _counting_sweeps(monkeypatch):
+    # rounds + 1: every multisection round and the certification make one
+    # Sturm sweep each
+    calls = []
+    sweep = tridiag.sturm_counts
+
+    def counted(diag, off, xs):
+        calls.append(np.size(xs))
+        return sweep(diag, off, xs)
+
+    monkeypatch.setattr(tridiag, "sturm_counts", counted)
+    return calls
+
+
+def _hard(case: str):
+    if case == "wilkinson-21":
+        # W21+: the top eigenvalue pairs agree to about 1e-14, so their seed
+        # brackets overlap
+        return np.abs(np.arange(21.0) - 10.0), np.ones(20)
+    # two identical blocks decoupled by a zero: every eigenvalue is double
+    rng = np.random.default_rng(21)
+    d, o = rng.standard_normal(15), rng.standard_normal(14)
+    return np.concatenate((d, d)), np.concatenate((o, [0.0], o))
+
+
+@pytest.mark.parametrize("case", ("wilkinson-21", "double-block"))
+def test_close_and_double_roots_start_from_certified_seeds(monkeypatch, case):
+    diag, off = _hard(case)
+    ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    calls = _counting_sweeps(monkeypatch)
+    got = eigenvalues(diag, off)
+    # every seed certified: one sweep over the 2n endpoints, then 5 rounds
+    assert calls == [2 * diag.size] + [7 * diag.size] * 5
+    assert np.all(np.diff(got) >= 0)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    if case == "double-block":
+        # both copies of a double root bracket the same Sturm switch point
+        assert np.abs(got[0::2] - got[1::2]).max() <= 2.0 ** -58 * _span(diag, off)
+
+
+@pytest.mark.parametrize("wrong", ("shifted", "reversed"))
+@pytest.mark.parametrize("matrix", ("jacobi-40", "random-64"))
+def test_wrong_seeds_fall_back_to_gershgorin(monkeypatch, wrong, matrix):
+    if matrix == "jacobi-40":
+        diag, off = np.zeros(40), np.sqrt(np.arange(2, 41) / 2.0)
+    else:
+        rng = np.random.default_rng(64)
+        diag, off = rng.standard_normal(64), rng.standard_normal(63)
+    ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    seeded = eigenvalues(diag, off)
+    estimates = tridiag._estimates
+    perturb = {"shifted": lambda est: est + 0.5,
+               "reversed": lambda est: est[::-1]}[wrong]
+    monkeypatch.setattr(tridiag, "_estimates",
+                        lambda d, o: perturb(estimates(d, o)))
+    calls = _counting_sweeps(monkeypatch)
+    got = eigenvalues(diag, off)
+    # a failed certificate sends its root to the Gershgorin bracket: 20 rounds
+    assert len(calls) == 21
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(got - seeded).max() <= 2.0 ** -58 * _span(diag, off)
+
+
+def test_no_dense_seed_above_the_cap(monkeypatch):
+    diag, off = np.zeros(17), np.sqrt(np.arange(1, 17) / 2.0)
+    seeded = eigenvalues(diag, off)
+
+    def refuse(d, o):
+        raise AssertionError("dense estimate above the cap")
+
+    monkeypatch.setattr(tridiag, "_SEED_MAX_N", 16)
+    monkeypatch.setattr(tridiag, "_estimates", refuse)
+    got = eigenvalues(diag, off)
+    assert np.abs(got - seeded).max() <= 2.0 ** -58 * _span(diag, off)
+
+
+def test_memory_stays_linear_in_the_shift_count():
+    # n = 400 takes 2800 section points a round: an n x shifts array would
+    # be 9 MB, the dense seed is 1.3 MB
+    diag, off = np.zeros(400), np.sqrt(np.arange(1, 400) / 2.0)
+    tracemalloc.start()
+    try:
+        eigenvalues(diag, off)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

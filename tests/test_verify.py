@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 from pathlib import Path
@@ -323,3 +324,77 @@ def test_polynomial_routes_fail_for_a_wrong_jacobi_weight(monkeypatch):
     monkeypatch.setattr(spectral, "monic_q", lambda n, s: monic_q(n, s + 1))
     check = {c.name: c for c in verify.suite_spectral()}[name]
     assert not check.passed and check.witness == "n=20 s=6"
+
+
+
+def _mutant(module, name: str, right: str, wrong: str):
+    """module.name recompiled from its source with the one occurrence of
+    `right` replaced by `wrong`."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(right) == 1
+    namespace = {}
+    exec(source.replace(right, wrong), vars(module), namespace)
+    return namespace[name]
+
+
+SPECTRAL_VERDICTS = {"spectral.interlacing_of_sections",
+                     "spectral.spectrum_symmetric_about_zero",
+                     "spectral.golub_welsch_orthonormality"}
+
+
+def _failed_spectral_verdicts() -> set:
+    return {c.name for c in verify.suite_spectral()
+            if not c.passed} & SPECTRAL_VERDICTS
+
+
+def _off_by_one_sweep(monkeypatch, tridiag):
+    sweep = tridiag.sturm_counts
+    # the sweep stops one row early and counts the leading (n-1)-section
+    monkeypatch.setattr(tridiag, "sturm_counts",
+                        lambda diag, off, xs: sweep(diag[:-1], off[:-1], xs))
+
+
+def _uncertified_seed(monkeypatch, tridiag):
+    # estimates off by 1e-9, far beyond the seed half-width, kept without
+    # the Sturm certificate
+    estimates = tridiag._estimates
+    monkeypatch.setattr(tridiag, "_estimates",
+                        lambda diag, off: estimates(diag, off) + 1e-9)
+    monkeypatch.setattr(tridiag, "eigenvalues", _mutant(
+        tridiag, "eigenvalues",
+        "certified = (counts[:n] <= rows) & (rows < counts[n:])",
+        "certified = rows >= 0"))
+
+
+@pytest.mark.parametrize("mutate, failing", (
+    (_off_by_one_sweep, {"spectral.spectrum_symmetric_about_zero"}),
+    (_uncertified_seed, {"spectral.spectrum_symmetric_about_zero",
+                         "spectral.golub_welsch_orthonormality"}),
+), ids=("off-by-one-sweep", "uncertified-seed"))
+def test_spectral_verdicts_fail_for_wrong_eigenvalues(monkeypatch, mutate,
+                                                      failing):
+    from hermquant import tridiag
+
+    assert _failed_spectral_verdicts() == set()
+    mutate(monkeypatch, tridiag)
+    assert _failed_spectral_verdicts() == failing
+
+
+def test_laguerre_factorizations_fail_for_a_wrong_sigma(monkeypatch):
+    from hermquant import spectral
+
+    def factorizations():
+        return {c.name: c.passed for c in verify.suite_spectral()
+                if "_laguerre_factorization." in c.name}
+
+    assert all(factorizations().values())
+    # sigma_n = (-4)^n (1 + s/2)_{n+1} in place of (1 + s/2)_n
+    right = "pochhammer_exact(Fraction(s + 2, 2), n)"
+    monkeypatch.setattr(spectral, "assoc_hermite_laguerre_check", _mutant(
+        spectral, "assoc_hermite_laguerre_check", right, right[:-1] + " + 1)"))
+    verdicts = factorizations()
+    assert len(verdicts) == 2 * 5 * 5
+    # the mutation scales sigma by 1 + s/2 + n, which is 1 only at n = s = 0
+    assert {name for name, ok in verdicts.items() if ok} == {
+        "spectral.even_laguerre_factorization.n0.s0",
+        "spectral.odd_laguerre_factorization.n0.s0"}
