@@ -38,7 +38,7 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarra
     off2 = off * off
     # pivmin at the underflow scale, as in LAPACK; a larger floor miscounts at
     # shifts that are exact eigenvalues of leading principal minors
-    pivmin = np.finfo(float).tiny * max(1.0, np.max(off2, initial=0.0))
+    pivmin = np.finfo(float).tiny * max(1.0, off2.max(initial=0.0))
     q = np.subtract(diag[0], xs)
     work = np.empty_like(q)
     mask = np.empty(q.shape, dtype=bool)
@@ -121,7 +121,7 @@ def eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         # root k lies in the eighth between edges j and j + 1, where j counts
         # the section points with fewer than k + 1 eigenvalues below them
         edges = np.column_stack((lo, shifts, hi))
-        j = np.sum(counts < targets, axis=1)
+        j = (counts < targets).sum(axis=1)
         lo, hi = edges[rows, j], edges[rows, j + 1]
     return 0.5 * (lo + hi)
 
