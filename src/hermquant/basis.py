@@ -9,13 +9,16 @@ The working functions are
 with phi^R the complex conjugate; for n = 0 both collapse to the same
 real-valued relative ground state.  `phi_values` is their one table over n
 and z: magnitudes are assembled in log space so large |z| neither overflows
-nor underflows, and `phi`, `reproduce`, `gamma_like_pdf` and the quadrature
-path of `quantize` all read it.
+nor underflows, and `phi`, `reproduce`, `gamma_like_pdf`, the coherent-state
+coefficients, the series of N_s and the quadrature path of `quantize` all
+read it.  Only the kernel series and the closed forms of N_s keep paths of
+their own.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -27,9 +30,8 @@ from .quadrature import gauss_laguerre_rule, grid_points, phase_space_integral
 from .specfun import laguerre, laguerre_many, log_factorial
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # e^t overflows beyond this t
-# Terms per Laguerre table in normalization_series: at t <= 50 the series
-# settles within 135 terms, and a table of 64 costs less than one scalar
-# laguerre call.
+# Terms per phi table in normalization_series: the series settles within
+# 135 terms (3 tables) at t <= 50 and within 948 (15 tables) at t = 700.
 _SERIES_BLOCK = 64
 
 
@@ -48,6 +50,14 @@ class BasisLabel:
             raise ValueError("n and s must be nonnegative")
 
 
+@functools.lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """Read-only table of log k! for k < size."""
+    table = np.array([log_factorial(k) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
 def _log_phi(s: int, n, t) -> tuple:
     """log|phi_{n;s}| and the sign of L_s^(n) at |z|^2 = t, with shape
     n.shape + t.shape, from one Laguerre table:
@@ -60,7 +70,8 @@ def _log_phi(s: int, n, t) -> tuple:
     t = np.asarray(t, dtype=float)
     lag = laguerre_many(s, n, t)
     n = n.reshape(n.shape + (1,) * t.ndim)
-    log_fac = np.vectorize(log_factorial, otypes=[float])(s + n)
+    k = s + n
+    log_fac = _log_factorials(1 << int(np.max(k, initial=0)).bit_length())[k]
     with np.errstate(divide="ignore"):
         logmag = (0.5 * (log_factorial(s) - log_fac) - 0.5 * t
                   + 0.5 * n * np.log(np.where(n == 0, 1.0, t))
@@ -97,16 +108,21 @@ def _check_sector_and_t(s: int, t: float) -> None:
         raise ValueError("t must be nonnegative")
 
 
+def _check_exp_range(t: float) -> None:
+    """N_s(t) is a float only while e^t is."""
+    if t > _LOG_FLOAT_MAX:
+        raise OverflowError(
+            f"N_s(t) at t = {t} overflows a float: e^t exceeds "
+            f"{sys.float_info.max:.4g} beyond t = {_LOG_FLOAT_MAX:.2f}")
+
+
 def normalization(s: int, t: float) -> float:
     """Coherent-state normalization N_s(t) in closed form:
 
         N_s(t) = e^t - sum_{m<s} (m!/s!) t^{s-m} (L_m^(s-m)(t))^2
     """
     _check_sector_and_t(s, t)
-    if t > _LOG_FLOAT_MAX:
-        raise OverflowError(
-            f"N_s(t) at t = {t} overflows a float: e^t exceeds "
-            f"{sys.float_info.max:.4g} beyond t = {_LOG_FLOAT_MAX:.2f}")
+    _check_exp_range(t)
     out = math.exp(t)
     for m in range(s):
         out -= (math.factorial(m) / math.factorial(s)
@@ -116,24 +132,23 @@ def normalization(s: int, t: float) -> float:
 
 def normalization_series(s: int, t: float, tol: float = 1e-14,
                          max_terms: int = 100_000):
-    """N_s(t) summed from its defining series sum_n (s!/(s+n)!) t^n L_s^(n)(t)^2.
+    """N_s(t) summed from its defining series sum_n e^t |phi_{n;s}|^2 at
+    |z|^2 = t, that is sum_n (s!/(s+n)!) t^n L_s^(n)(t)^2.
 
-    The Laguerre values come from one table over n per block of _SERIES_BLOCK
-    terms.  Truncates once three consecutive terms drop below tol relative to
+    The terms come from the phi table, one block of _SERIES_BLOCK n at a
+    time.  Truncates once three consecutive terms drop below tol relative to
     the partial sum; returns (value, terms_used).
     """
     _check_sector_and_t(s, t)
+    _check_exp_range(t)
     total = 0.0
     small = 0
-    fac = 1.0  # s!/(s+n)!
     for start in range(0, max_terms, _SERIES_BLOCK):
-        ns = range(start, min(start + _SERIES_BLOCK, max_terms))
-        for n, lag in zip(ns, laguerre_many(s, ns, t).tolist()):
-            if n > 0:
-                fac /= s + n
-            term = fac * t**n * lag ** 2
+        ns = np.arange(start, min(start + _SERIES_BLOCK, max_terms))
+        terms = np.exp(2.0 * _log_phi(s, ns, t)[0] + t)
+        for n, term in zip(ns.tolist(), terms.tolist()):
             total += term
-            if abs(term) <= tol * max(abs(total), 1.0):
+            if term <= tol * max(total, 1.0):
                 small += 1
                 if small >= 3:
                     return total, n + 1
@@ -166,20 +181,9 @@ def normalization_deficit_log(s: int, t: float) -> float:
 
 
 def normalization_scaled(s: int, t: float) -> float:
-    """e^{-t} N_s(t), assembled stably for any t >= 0 (bounded in (0, 1])."""
-    _check_sector_and_t(s, t)
-    if t == 0.0:
-        return 1.0
-    acc = 1.0
-    for m in range(s):
-        lag = laguerre(m, s - m, t)
-        if lag == 0.0:
-            continue
-        logterm = (log_factorial(m) - log_factorial(s)
-                   - t + (s - m) * math.log(t) + 2.0 * math.log(abs(lag)))
-        if logterm > -745.0:
-            acc -= math.exp(logterm)
-    return acc
+    """e^{-t} N_s(t) = 1 - e^{-t} (e^t - N_s(t)), stable for any t >= 0
+    (bounded in (0, 1])."""
+    return 1.0 - math.exp(normalization_deficit_log(s, t) - t)
 
 
 @dataclass(frozen=True)
@@ -310,21 +314,12 @@ def cs_coefficients(s: int, z: complex, dim: int, epsilon: str = "L",
         raise ValueError("epsilon must be 'L' or 'R'")
     z = complex(z)
     t = abs(z) ** 2
-    out = np.zeros(dim, dtype=complex)
-    if z == 0:
-        out[0] = (-1) ** s
-        return out
-    ns = np.arange(dim, dtype=float)
-    lag = laguerre_many(s, ns, t)
-    log_n = (0.5 * (log_factorial(s) - np.array([log_factorial(s + k) for k in range(dim)]))
-             + ns * math.log(abs(z)))
-    log_norm = t + math.log(normalization_scaled(s, t))
-    with np.errstate(divide="ignore"):
-        logmag = log_n + np.where(lag == 0.0, -np.inf, np.log(np.abs(lag))) - 0.5 * log_norm
+    ns = np.arange(dim)
+    # |c_n| = |phi_{n;s}(z)| / sqrt(e^{-t} N_s(t))
+    logmag, sign = _log_phi(s, ns, t)
+    logmag -= 0.5 * math.log(normalization_scaled(s, t))
     theta = cmath.phase(z) * (1.0 if epsilon == "L" else -1.0)
-    phases = np.exp(1j * ns * theta)
-    mags = np.where(logmag > -745.0, np.exp(np.minimum(logmag, 700.0)), 0.0)
-    out = (-1) ** s * np.sign(lag) * mags * phases
+    out = (-1) ** s * sign * np.exp(logmag) * np.exp(1j * ns * theta)
     captured = float(np.sum(np.abs(out) ** 2))
     if captured < 1.0 - tol:
         raise TailError(

@@ -14,12 +14,12 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis, matrices, physics, quantize, spectral, verify
 from .errors import HintViolation, NonConvergence, PoleError, TailError
+from .specfun import complex_hermite_exact
 
 
 def parse_complex(text: str) -> complex:
@@ -67,25 +67,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: output routing plus shared numeric knobs."""
-
-    fmt: str = "json"
-    out: str | None = None
-    tol: float = 1e-10
-    dim: int = 12
-    seed: int = 20240901
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(fmt=args.format, out=args.out, tol=args.tol,
-                     dim=args.dim, seed=args.seed)
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -95,15 +79,15 @@ def _complex_row(z: complex) -> list:
     return [_fmt(z.real), _fmt(z.imag)]
 
 
-def _matrix_payload(op, cfg: RunConfig) -> str:
-    if cfg.fmt == "csv":
+def _matrix_payload(op, args) -> str:
+    if args.format == "csv":
         rows = matrices.operator_csv_rows(op)
         return "\n".join(",".join(r) for r in rows) + "\n"
     return matrices.operator_to_json(op) + "\n"
 
 
-def _scalar_payload(value: complex, cfg: RunConfig, **meta) -> str:
-    if cfg.fmt == "csv":
+def _scalar_payload(value: complex, args, **meta) -> str:
+    if args.format == "csv":
         head = ["re", "im"] + list(meta)
         row = _complex_row(complex(value)) + [_fmt(v) if isinstance(v, float)
                                               else str(v) for v in meta.values()]
@@ -112,83 +96,81 @@ def _scalar_payload(value: complex, cfg: RunConfig, **meta) -> str:
     return json.dumps(body, indent=1, sort_keys=True) + "\n"
 
 
-def cmd_poly(args, cfg: RunConfig) -> int:
+def cmd_poly(args) -> int:
     if args.which == "hermite":
-        val = None
-        from .specfun import complex_hermite_exact
         val = complex_hermite_exact(args.r, args.s,
                                     _complex_arg(args.z, "--z"))
-        _emit(_scalar_payload(val, cfg, r=args.r, s=args.s), cfg)
+        _emit(_scalar_payload(val, args, r=args.r, s=args.s), args)
         return 0
     if args.which == "assoc-hermite":
         poly = spectral.assoc_hermite(_nonnegative(args.n, "--n"), args.s)
         coeffs = [str(c) for c in poly.coeffs]  # exact integers as strings
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             _emit("degree,coefficient\n" + "".join(
-                f"{k},{c}\n" for k, c in enumerate(coeffs)), cfg)
+                f"{k},{c}\n" for k, c in enumerate(coeffs)), args)
         else:
             _emit(json.dumps({"n": args.n, "s": args.s,
                               "coefficients": coeffs},
-                             indent=1, sort_keys=True) + "\n", cfg)
+                             indent=1, sort_keys=True) + "\n", args)
         return 0
     raise ValueError(f"unknown poly subcommand {args.which!r}")
 
 
-def cmd_basis(args, cfg: RunConfig) -> int:
+def cmd_basis(args) -> int:
     if args.which == "phi":
         label = basis.BasisLabel(args.epsilon, args.n, args.s)
         val = basis.phi(label, _complex_arg(args.z, "--z"))
-        _emit(_scalar_payload(val, cfg, epsilon=args.epsilon, n=args.n,
-                              s=args.s), cfg)
+        _emit(_scalar_payload(val, args, epsilon=args.epsilon, n=args.n,
+                              s=args.s), args)
         return 0
     if args.which == "normalization":
         val = basis.normalization(args.s, _finite(args.t, "--t"))
-        _emit(_scalar_payload(complex(val), cfg, s=args.s, t=args.t), cfg)
+        _emit(_scalar_payload(complex(val), args, s=args.s, t=args.t), args)
         return 0
     raise ValueError(f"unknown basis subcommand {args.which!r}")
 
 
-def cmd_kernel(args, cfg: RunConfig) -> int:
+def cmd_kernel(args) -> int:
     kv = basis.kernel(args.s, _complex_arg(args.z, "--z"),
-                      _complex_arg(args.zprime, "--zprime"), tol=cfg.tol)
-    _emit(_scalar_payload(kv.value, cfg, truncation_n=kv.truncation_n,
-                          est_tail=kv.est_tail), cfg)
+                      _complex_arg(args.zprime, "--zprime"), tol=args.tol)
+    _emit(_scalar_payload(kv.value, args, truncation_n=kv.truncation_n,
+                          est_tail=kv.est_tail), args)
     return 0
 
 
-def cmd_quantize(args, cfg: RunConfig) -> int:
+def cmd_quantize(args) -> int:
     if args.method == "closed":
         op = quantize.quantize_monomial(args.a, args.b, args.s, args.epsilon,
-                                        cfg.dim)
+                                        args.dim)
     else:
         op = quantize.quantize_numeric(quantize.Monomial(args.a, args.b),
-                                       args.s, args.epsilon, cfg.dim)
-    _emit(_matrix_payload(op, cfg), cfg)
+                                       args.s, args.epsilon, args.dim)
+    _emit(_matrix_payload(op, args), args)
     return 0
 
 
-def cmd_spectrum(args, cfg: RunConfig) -> int:
+def cmd_spectrum(args) -> int:
     if args.which == "eigenvalues":
-        ev = spectral.eigenvalues(cfg.dim, args.s)
-        if cfg.fmt == "csv":
+        ev = spectral.eigenvalues(args.dim, args.s)
+        if args.format == "csv":
             _emit("index,eigenvalue\n" + "".join(
-                f"{k},{_fmt(v)}\n" for k, v in enumerate(ev)), cfg)
+                f"{k},{_fmt(v)}\n" for k, v in enumerate(ev)), args)
         else:
-            _emit(json.dumps({"s": args.s, "dim": cfg.dim,
+            _emit(json.dumps({"s": args.s, "dim": args.dim,
                               "eigenvalues": [float(v) for v in ev]},
-                             indent=1, sort_keys=True) + "\n", cfg)
+                             indent=1, sort_keys=True) + "\n", args)
         return 0
     if args.which == "measure":
-        meas = spectral.golub_welsch(args.s, cfg.dim)
-        if cfg.fmt == "csv":
+        meas = spectral.golub_welsch(args.s, args.dim)
+        if args.format == "csv":
             _emit("node,weight\n" + "".join(
                 f"{_fmt(x)},{_fmt(w)}\n"
-                for x, w in zip(meas.nodes, meas.weights)), cfg)
+                for x, w in zip(meas.nodes, meas.weights)), args)
         else:
-            _emit(json.dumps({"s": args.s, "dim": cfg.dim,
+            _emit(json.dumps({"s": args.s, "dim": args.dim,
                               "nodes": [float(v) for v in meas.nodes],
                               "weights": [float(v) for v in meas.weights]},
-                             indent=1, sort_keys=True) + "\n", cfg)
+                             indent=1, sort_keys=True) + "\n", args)
         return 0
     raise ValueError(f"unknown spectrum subcommand {args.which!r}")
 
@@ -201,94 +183,95 @@ def _physical_params(args) -> "physics.PhysicalParams":
     return physics.PhysicalParams.oscillator(args.mass, args.omega)
 
 
-def cmd_physics(args, cfg: RunConfig) -> int:
+def cmd_physics(args) -> int:
     if args.which == "gamma":
         par = physics.PhysicalParams.compton(args.mass, args.omega)
-        _emit(_scalar_payload(complex(physics.gamma_ratio(par)), cfg,
-                              mass=args.mass, omega=args.omega), cfg)
+        _emit(_scalar_payload(complex(physics.gamma_ratio(par)), args,
+                              mass=args.mass, omega=args.omega), args)
         return 0
     if args.which == "hamiltonian":
         par = _physical_params(args)
-        op, report = physics.build_physical_AH(par, args.s, cfg.dim)
-        if cfg.fmt == "csv":
+        op, report = physics.build_physical_AH(par, args.s, args.dim)
+        if args.format == "csv":
             lines = ["level,energy,gap"]
             levels = report["levels"]
             for k, e in enumerate(levels):
                 gap = levels[k] - levels[k - 1] if k else 0.0
                 lines.append(f"{k},{_fmt(e)},{_fmt(gap)}")
-            _emit("\n".join(lines) + "\n", cfg)
+            _emit("\n".join(lines) + "\n", args)
         else:
-            _emit(json.dumps(report, indent=1, sort_keys=True) + "\n", cfg)
+            _emit(json.dumps(report, indent=1, sort_keys=True) + "\n", args)
         return 0
     if args.which == "table":
-        return _emit_spectrum_table(args, cfg)
+        return _emit_spectrum_table(args)
     raise ValueError(f"unknown physics subcommand {args.which!r}")
 
 
-def _emit_spectrum_table(args, cfg: RunConfig) -> int:
-    if cfg.dim < 2:
-        raise ValueError(f"--dim {cfg.dim}: the first gap needs --dim >= 2")
+def _emit_spectrum_table(args) -> int:
+    if args.dim < 2:
+        raise ValueError(f"--dim {args.dim}: the first gap needs --dim >= 2")
     rows = physics.spectrum_compare(
-        range(_nonnegative(args.s_max, "--s-max") + 1), cfg.dim)
+        range(_nonnegative(args.s_max, "--s-max") + 1), args.dim)
     dicts = [r.to_dict() for r in rows]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         head = list(dicts[0])
         lines = [",".join(head)]
         for d in dicts:
             lines.append(",".join(
                 _fmt(d[k]) if isinstance(d[k], float) else str(d[k])
                 for k in head))
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args)
     else:
-        _emit(json.dumps({"rows": dicts}, indent=1, sort_keys=True) + "\n", cfg)
+        _emit(json.dumps({"rows": dicts}, indent=1, sort_keys=True) + "\n",
+              args)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    checks = verify.run(args.suite, seed=cfg.seed)
+def cmd_verify(args) -> int:
+    checks = verify.run(args.suite, seed=args.seed)
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(f"[{status}] {c.name} residual={c.max_residual:.3e} "
               f"tol={c.tol:.1e}", file=sys.stderr)
-    _emit(verify.report_json(checks, args.suite, cfg.seed) + "\n", cfg)
+    _emit(verify.report_json(checks, args.suite, args.seed) + "\n", args)
     return 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_export(args, cfg: RunConfig) -> int:
+def cmd_export(args) -> int:
     if args.object == "operator":
-        op = _operator_by_name(args.operator, args.s, cfg.dim, args.epsilon)
-        _emit(_matrix_payload(op, cfg), cfg)
+        op = _operator_by_name(args.operator, args.s, args.dim, args.epsilon)
+        _emit(_matrix_payload(op, args), args)
         return 0
     if args.object == "kernel-grid":
         zp = _complex_arg(args.zprime, "--zprime")
-        return _emit_grid(args, cfg, lambda z: basis.kernel(
-            args.s, z, zp, tol=cfg.tol).value, s=args.s, zprime=args.zprime)
+        return _emit_grid(args, lambda z: basis.kernel(
+            args.s, z, zp, tol=args.tol).value, s=args.s, zprime=args.zprime)
     if args.object == "lower-symbol-scan":
-        op = _operator_by_name(args.operator, args.s, cfg.dim, args.epsilon)
-        return _emit_grid(args, cfg, lambda z: quantize.lower_symbol(
+        op = _operator_by_name(args.operator, args.s, args.dim, args.epsilon)
+        return _emit_grid(args, lambda z: quantize.lower_symbol(
             op, z, args.s, args.epsilon, tol=1e-9),
             operator=args.operator, s=args.s)
     if args.object == "spectrum-table":
-        return _emit_spectrum_table(args, cfg)
+        return _emit_spectrum_table(args)
     raise ValueError(f"unknown export object {args.object!r}")
 
 
-def _emit_grid(args, cfg: RunConfig, value, **meta) -> int:
+def _emit_grid(args, value, **meta) -> int:
     """value(x + iy) on the square grid of --grid-points points per side
     over [-extent, extent], as x,y,re,im rows; the JSON rows carry the same
     floats as the CSV text, whose .17g digits round-trip them."""
     extent = _finite(args.extent, "--extent")
     pts = np.linspace(-extent, extent, args.grid_points).tolist()
     rows = [(x, y, complex(value(complex(x, y)))) for x in pts for y in pts]
-    if cfg.fmt == "json":
+    if args.format == "json":
         body = [{"x": x, "y": y, "re": v.real, "im": v.imag}
                 for x, y, v in rows]
         _emit(json.dumps({**meta, "rows": body}, indent=1, sort_keys=True)
-              + "\n", cfg)
+              + "\n", args)
     else:
         _emit("x,y,re,im\n" + "".join(
             ",".join([_fmt(x), _fmt(y)] + _complex_row(v)) + "\n"
-            for x, y, v in rows), cfg)
+            for x, y, v in rows), args)
     return 0
 
 
@@ -297,10 +280,10 @@ _BUILDERS = {
     "P": matrices.build_P,
     "Az": matrices.build_A_z,
     "Azbar": matrices.build_A_zbar,
-    "Aq2": lambda s, n, eps: matrices.build_Aq2(s, n, eps),
-    "Ap2": lambda s, n, eps: matrices.build_Ap2(s, n, eps),
-    "AH": lambda s, n, eps: matrices.build_AH(s, n, eps),
-    "Hhat": lambda s, n, eps: matrices.build_Hhat(s, n, eps),
+    "Aq2": matrices.build_Aq2,
+    "Ap2": matrices.build_Ap2,
+    "AH": matrices.build_AH,
+    "Hhat": matrices.build_Hhat,
 }
 
 
@@ -425,11 +408,10 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config(args)
     try:
         # every command's --s is a sector or a Hermite index
         _nonnegative(getattr(args, "s", 0), "--s")
-        return _DISPATCH[args.command](args, cfg)
+        return _DISPATCH[args.command](args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -242,7 +242,7 @@ class SpectrumRow:
         return asdict(self)
 
 
-def spectrum_compare(s_list, N: int = 8, scan_infimum: bool = True) -> list:
+def spectrum_compare(s_list, N: int = 8) -> list:
     """Side-by-side spectra of the two quantizations per sector.
 
     The equivalence column is true iff the diagonals of A_H and Hhat differ
@@ -254,7 +254,7 @@ def spectrum_compare(s_list, N: int = 8, scan_infimum: bool = True) -> list:
         hh = build_Hhat(s, N).bands[0].real
         g_a = float(ah[0])
         g_h = float(hh[0])
-        inf_q2 = infimum_scan(s)[0] if scan_infimum else s + 0.5
+        inf_q2 = infimum_scan(s)[0]
         shift = ah - hh
         rows.append(SpectrumRow(
             s=s,

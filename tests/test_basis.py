@@ -166,7 +166,7 @@ def test_normalization_matches_mpmath_at_large_arguments():
     # the Laguerre sums written out: mpmath.laguerre does not converge at
     # t = 700
     mpmath = pytest.importorskip("mpmath")
-    worst = worst_scaled = 0.0
+    worst = worst_series = worst_scaled = 0.0
     with mpmath.workdps(60):
         for s in range(13):
             for t in (0.25, 1.0, 4.0, 10.0, 30.0, 60.0, 120.0, 250.0, 450.0,
@@ -183,11 +183,18 @@ def test_normalization_matches_mpmath_at_large_arguments():
                 want = mpmath.exp(x) - deficit
                 worst = max(worst, float(abs(normalization(s, t) - want)
                                          / want))
+                worst_series = max(worst_series, float(
+                    abs(normalization_series(s, t)[0] - want) / want))
                 want_scaled = want * mpmath.exp(-x)
                 worst_scaled = max(worst_scaled, float(
                     abs(normalization_scaled(s, t) - want_scaled)
                     / want_scaled))
-    assert worst <= 1e-12 and worst_scaled <= 1e-12, (worst, worst_scaled)
+    assert (worst <= 1e-12 and worst_series <= 1e-12
+            and worst_scaled <= 1e-12), (worst, worst_series, worst_scaled)
+    # beyond t = log(float max) ~ 709.78 both float forms refuse
+    for fn in (normalization, normalization_series):
+        with pytest.raises(OverflowError, match="t = 720"):
+            fn(12, 720.0)
 
 
 def test_kernel_s0_is_exponential(rng):

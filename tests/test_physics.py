@@ -134,14 +134,14 @@ def test_aitken_extrapolation_accelerates_geometric():
 
 
 def test_spectrum_compare_s0_row():
-    row = spectrum_compare([0], scan_infimum=True)[0]
+    row = spectrum_compare([0])[0]
     assert row.global_shift == 0.5
     assert row.physically_equivalent
     assert row.first_gap_direct == 1.0 and row.first_gap_substituted == 1.0
 
 
 def test_spectrum_compare_s2_row():
-    row = spectrum_compare([2], scan_infimum=True)[0]
+    row = spectrum_compare([2])[0]
     assert not row.physically_equivalent
     assert row.ground_direct == 5.0
     assert row.ground_substituted == 1.5
@@ -153,7 +153,7 @@ def test_spectrum_compare_s2_row():
 def test_spectrum_compare_equivalence_is_computed(monkeypatch):
     monkeypatch.setattr(physics, "build_Hhat",
                         lambda s, N: matrices.build_Hhat(s + 1, N))
-    row = spectrum_compare([0], scan_infimum=False)[0]
+    row = spectrum_compare([0])[0]
     assert not row.physically_equivalent
 
 

@@ -195,19 +195,24 @@ def test_radial_density_check_fails_for_a_scaled_density(monkeypatch):
 
 
 # the checks that read the phi table, directly or through reproduce,
-# gamma_like_pdf and quantize_numeric
+# gamma_like_pdf, normalization_series and quantize_numeric
 PHI_GUARDS = {"basis.phi_gram_is_identity", "basis.kernel_reproduces_members",
+              "basis.normalization_closed_vs_series",
               "quantize.closed_form_vs_integral",
               "basis.radial_density_normalized"}
 
 
+def _failed(suite: str) -> set:
+    return {c.name for c in verify.run(suite, seed=5) if not c.passed}
+
+
 def _failed_phi_guards() -> set:
-    checks = verify.run("basis", seed=5) + verify.run("quantize", seed=5)
-    return {c.name for c in checks if not c.passed} & PHI_GUARDS
+    return (_failed("basis") | _failed("quantize")) & PHI_GUARDS
 
 
 def test_phi_guards_fail_for_a_wrong_factorial_prefactor(monkeypatch):
-    from hermquant import basis, quantize
+    from hermquant import basis, matrices, quantize
+    from hermquant.errors import TailError
 
     assert _failed_phi_guards() == set()
     log_phi = basis._log_phi
@@ -218,9 +223,17 @@ def test_phi_guards_fail_for_a_wrong_factorial_prefactor(monkeypatch):
         n = np.asarray(n).reshape(np.shape(n) + (1,) * np.ndim(t))
         return logmag - 0.5 * np.log(s + n + 1.0), sign
 
-    monkeypatch.setattr(basis, "_log_phi", wrong)
+    # each suite is patched where it reads the table: the coherent states
+    # of the quantize suite read basis._log_phi, and lose norm under the
+    # mutant before any verdict is reached
+    with monkeypatch.context() as patch:
+        patch.setattr(basis, "_log_phi", wrong)
+        failed = _failed("basis")
+        with pytest.raises(TailError):
+            quantize.lower_symbol(matrices.build_AH(0, 64), 0.5 + 0.5j, 0)
     monkeypatch.setattr(quantize, "_log_phi", wrong)
-    assert _failed_phi_guards()
+    failed |= _failed("quantize")
+    assert failed & PHI_GUARDS == PHI_GUARDS
 
 
 def test_phi_guards_fail_for_a_wrong_phase_convention(monkeypatch):
@@ -398,3 +411,33 @@ def test_laguerre_factorizations_fail_for_a_wrong_sigma(monkeypatch):
     assert {name for name, ok in verdicts.items() if ok} == {
         "spectral.even_laguerre_factorization.n0.s0",
         "spectral.odd_laguerre_factorization.n0.s0"}
+
+
+def test_kernel_checks_fail_for_a_conjugated_argument(monkeypatch):
+    from hermquant import basis
+
+    names = {"basis.kernel_s0_is_exponential",
+             "basis.kernel_s1_matches_closed_form"}
+    assert _failed("basis") & names == set()
+    # z zbar' in place of zbar z' in the kernel series
+    monkeypatch.setattr(verify, "kernel", _mutant(
+        basis, "kernel", "w = z.conjugate() * zprime",
+        "w = z * zprime.conjugate()"))
+    checks = {c.name: c for c in verify.suite_basis(seed=5)}
+    # e^{z zbar'} against e^{zbar z'}: a phase error, so the relative
+    # residual nears its bound of 2
+    assert all(not checks[n].passed and checks[n].max_residual > 1.5
+               for n in names)
+    assert {n for n, c in checks.items() if not c.passed} == names
+
+
+def test_infimum_check_fails_for_a_wrong_diagonal(monkeypatch):
+    from hermquant import physics
+
+    name = "physics.quantized_square_infimum"
+    assert {c.name: c for c in verify.suite_physics()}[name].passed
+    # n + 2s on the diagonal of A_{q^2}, which carries n + 2s + 1
+    monkeypatch.setattr(physics, "infimum_scan", _mutant(
+        physics, "infimum_scan", "(n + 2 * s + 1.0)", "(n + 2 * s + 0.0)"))
+    check = {c.name: c for c in verify.suite_physics()}[name]
+    assert not check.passed and check.max_residual == pytest.approx(1.0)
