@@ -24,6 +24,6 @@ from .spectral import (DiscreteMeasure, JacobiMatrix, PolyExact,
                        assoc_hermite, char_poly, eigenvalues, golub_welsch,
                        monic_q)
 from .specfun import (complex_hermite, complex_hermite_laguerre,
-                      hyp3f2_terminating, laguerre, pochhammer)
+                      hyp3f2_terminating, laguerre)
 
 __version__ = "0.1.0"

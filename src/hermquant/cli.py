@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: poly, basis, kernel, quantize, spectrum, physics, verify,
-export.  Data goes to stdout or --out (JSON or CSV); human diagnostics go to
-stderr.  Exit codes: 0 success, 1 verification failure, 2 domain error,
-3 I/O error.  Identical invocations (including --seed) produce byte-identical
-output.
+export.  Each takes only the options it reads.  Data goes to stdout or --out
+(JSON or CSV; the verify report is always JSON); human diagnostics go to
+stderr.  Exit codes: 0 success, 1 verification failure, 2 domain error
+(argparse's usage errors included), 3 I/O error.  Identical invocations
+(including verify's --seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -178,14 +179,16 @@ def cmd_spectrum(args) -> int:
 def _physical_params(args) -> "physics.PhysicalParams":
     if args.mode == "dimensionless":
         return physics.PhysicalParams.dimensionless()
+    mass, omega = _finite(args.mass, "--mass"), _finite(args.omega, "--omega")
     if args.length == "compton":
-        return physics.PhysicalParams.compton(args.mass, args.omega)
-    return physics.PhysicalParams.oscillator(args.mass, args.omega)
+        return physics.PhysicalParams.compton(mass, omega)
+    return physics.PhysicalParams.oscillator(mass, omega)
 
 
 def cmd_physics(args) -> int:
     if args.which == "gamma":
-        par = physics.PhysicalParams.compton(args.mass, args.omega)
+        par = physics.PhysicalParams.compton(_finite(args.mass, "--mass"),
+                                             _finite(args.omega, "--omega"))
         _emit(_scalar_payload(complex(physics.gamma_ratio(par)), args,
                               mass=args.mass, omega=args.omega), args)
         return 0
@@ -203,28 +206,24 @@ def cmd_physics(args) -> int:
             _emit(json.dumps(report, indent=1, sort_keys=True) + "\n", args)
         return 0
     if args.which == "table":
-        return _emit_spectrum_table(args)
+        if args.dim < 2:
+            raise ValueError(f"--dim {args.dim}: the first gap needs --dim >= 2")
+        rows = physics.spectrum_compare(
+            range(_nonnegative(args.s_max, "--s-max") + 1), args.dim)
+        dicts = [r.to_dict() for r in rows]
+        if args.format == "csv":
+            head = list(dicts[0])
+            lines = [",".join(head)]
+            for d in dicts:
+                lines.append(",".join(
+                    _fmt(d[k]) if isinstance(d[k], float) else str(d[k])
+                    for k in head))
+            _emit("\n".join(lines) + "\n", args)
+        else:
+            _emit(json.dumps({"rows": dicts}, indent=1, sort_keys=True)
+                  + "\n", args)
+        return 0
     raise ValueError(f"unknown physics subcommand {args.which!r}")
-
-
-def _emit_spectrum_table(args) -> int:
-    if args.dim < 2:
-        raise ValueError(f"--dim {args.dim}: the first gap needs --dim >= 2")
-    rows = physics.spectrum_compare(
-        range(_nonnegative(args.s_max, "--s-max") + 1), args.dim)
-    dicts = [r.to_dict() for r in rows]
-    if args.format == "csv":
-        head = list(dicts[0])
-        lines = [",".join(head)]
-        for d in dicts:
-            lines.append(",".join(
-                _fmt(d[k]) if isinstance(d[k], float) else str(d[k])
-                for k in head))
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        _emit(json.dumps({"rows": dicts}, indent=1, sort_keys=True) + "\n",
-              args)
-    return 0
 
 
 def cmd_verify(args) -> int:
@@ -251,8 +250,6 @@ def cmd_export(args) -> int:
         return _emit_grid(args, lambda z: quantize.lower_symbol(
             op, z, args.s, args.epsilon, tol=1e-9),
             operator=args.operator, s=args.s)
-    if args.object == "spectrum-table":
-        return _emit_spectrum_table(args)
     raise ValueError(f"unknown export object {args.object!r}")
 
 
@@ -301,12 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "and spectral checks of the resulting operators.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, dim=False, tol=False):
+        """--format and --out, plus the truncation dimension and the kernel
+        series tolerance where the handler reads them."""
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--dim", type=int, default=12)
-        p.add_argument("--seed", type=int, default=20240901)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10)
+        if dim:
+            p.add_argument("--dim", type=int, default=12)
 
     p = sub.add_parser("poly", help="evaluate polynomial families")
     ps = p.add_subparsers(dest="which", required=True)
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--zprime", required=True)
-    common(p)
+    common(p, tol=True)
 
     p = sub.add_parser("quantize", help="quantize a monomial")
     p.add_argument("--a", type=int, required=True)
@@ -345,16 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--epsilon", choices=("L", "R"), default="L")
     p.add_argument("--method", choices=("closed", "numeric"), default="closed")
-    common(p)
+    common(p, dim=True)
 
     p = sub.add_parser("spectrum", help="position-operator spectral data")
     ps = p.add_subparsers(dest="which", required=True)
     pe = ps.add_parser("eigenvalues")
     pe.add_argument("--s", type=int, required=True)
-    common(pe)
+    common(pe, dim=True)
     pm = ps.add_parser("measure")
     pm.add_argument("--s", type=int, required=True)
-    common(pm)
+    common(pm, dim=True)
 
     p = sub.add_parser("physics", help="dimensionful quantization reports")
     ps = p.add_subparsers(dest="which", required=True)
@@ -369,28 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
                      default="compton")
     ph2.add_argument("--mass", type=float, default=physics.ELECTRON_MASS_SI)
     ph2.add_argument("--omega", type=float, default=3e15)
-    common(ph2)
+    common(ph2, dim=True)
     pt = ps.add_parser("table")
     pt.add_argument("--s-max", type=int, default=4)
-    common(pt)
+    common(pt, dim=True)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
                    choices=("all",) + tuple(verify.SUITES))
-    common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=20240901)
 
     p = sub.add_parser("export", help="write data files")
     p.add_argument("--object", required=True,
-                   choices=("operator", "kernel-grid", "lower-symbol-scan",
-                            "spectrum-table"))
+                   choices=("operator", "kernel-grid", "lower-symbol-scan"))
     p.add_argument("--operator", default="Q")
     p.add_argument("--epsilon", choices=("L", "R"), default="L")
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--s-max", type=int, default=4)
     p.add_argument("--zprime", default="0+0i")
     p.add_argument("--extent", type=float, default=2.0)
     p.add_argument("--grid-points", type=int, default=9)
-    common(p)
+    common(p, dim=True, tol=True)
     return top
 
 

@@ -45,8 +45,11 @@ class PhysicalParams:
         if self.ell is None:
             object.__setattr__(self, "ell", self.hbar / (2.0 * self.m * self.c))
         for name in ("m", "omega", "hbar", "c", "ell"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            # NaN passes a bare `value <= 0` test
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value} must be finite and "
+                                 f"strictly positive")
 
     @classmethod
     def compton(cls, m: float, omega: float, hbar: float = HBAR_SI,
@@ -60,6 +63,9 @@ class PhysicalParams:
                    c: float = C_SI) -> "PhysicalParams":
         """Fix ell as the oscillator length sqrt(hbar/(m omega)), the choice
         that makes the quantized Hamiltonian exactly diagonal."""
+        if not m * omega > 0:
+            raise ValueError(f"m * omega = {m * omega} must be strictly "
+                             f"positive")
         return cls(m=m, omega=omega, hbar=hbar, c=c,
                    ell=math.sqrt(hbar / (m * omega)))
 

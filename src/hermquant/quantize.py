@@ -30,8 +30,8 @@ from .specfun import laguerre, log_factorial
 def angular_phase_sign(epsilon: str) -> int:
     """Sign of the angular phase e^{+-i(n-n')theta}: +1 for 'L', -1 for 'R'.
 
-    Single source of truth for the sector convention; both the closed-form
-    and the quadrature paths go through it.
+    Only the quadrature path reads it; `quantize_monomial` takes the same
+    sign from `matrices.eps_sign` itself, so each route checks the other.
     """
     return -eps_sign(epsilon)
 

@@ -23,37 +23,6 @@ from .errors import PoleError
 _RECURRENCE_DEGREE = 6
 
 
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial a(a+1)...(a+k-1); 1 for k = 0.
-
-    Falls back to log-space accumulation with sign tracking if the running
-    product overflows; a genuine overflow then returns +-inf.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-        if math.isinf(out):
-            return _pochhammer_log(a, k)
-    return out
-
-
-def _pochhammer_log(a: float, k: int) -> float:
-    sign = 1.0
-    logmag = 0.0
-    for i in range(k):
-        f = a + i
-        if f == 0.0:
-            return 0.0
-        if f < 0.0:
-            sign = -sign
-        logmag += math.log(abs(f))
-    if logmag > 709.0:
-        return sign * math.inf
-    return sign * math.exp(logmag)
-
-
 def pochhammer_exact(a, k: int):
     """Rising factorial with int/Fraction arithmetic."""
     out = Fraction(1)

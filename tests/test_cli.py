@@ -1,6 +1,10 @@
+import argparse
+import importlib.util
 import json
 import math
 import os
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hermquant.basis import kernel_s1_closed
-from hermquant.cli import main, parse_complex
+from hermquant.cli import build_parser, main, parse_complex
 from hermquant.matrices import build_Q
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +30,7 @@ def run_cli(capsys, *argv):
 def cli_env(**extra) -> dict:
     """The environment for a fresh interpreter that imports hermquant from
     this checkout, with extra variables set."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
@@ -99,11 +105,18 @@ def test_poly_assoc_hermite_coefficients(capsys):
      "--s -1"),
     (("export", "--object", "lower-symbol-scan", "--operator", "AH",
       "--s", "-1", "--grid-points", "2", "--dim", "4"), "--s -1"),
-    (("export", "--object", "spectrum-table", "--s", "-1", "--dim", "3"),
-     "--s -1"),
     (("basis", "phi", "--n", "1", "--s", "-1", "--z", "1"), "--s -1"),
     (("physics", "hamiltonian", "--s", "-1", "--dim", "4"), "--s -1"),
     (("poly", "hermite", "--r", "1", "--s", "-1", "--z", "1"), "--s -1"),
+    (("physics", "gamma", "--omega", "nan"), "--omega nan"),
+    (("physics", "gamma", "--omega", "inf"), "--omega inf"),
+    (("physics", "gamma", "--mass", "nan", "--omega", "3e15"), "--mass nan"),
+    (("physics", "hamiltonian", "--omega", "nan", "--dim", "4"),
+     "--omega nan"),
+    (("physics", "hamiltonian", "--length", "oscillator", "--mass=-inf",
+      "--dim", "4"), "--mass -inf"),
+    (("physics", "hamiltonian", "--length", "oscillator", "--mass", "1e-200",
+      "--omega", "1e-200", "--dim", "4"), "m * omega = 0.0"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
         "table-negative-s-max", "normalization-negative-s",
@@ -112,8 +125,10 @@ def test_poly_assoc_hermite_coefficients(capsys):
         "quantize-closed-negative-s", "quantize-numeric-negative-s",
         "eigenvalues-negative-s", "measure-negative-s",
         "export-operator-negative-s", "export-kernel-grid-negative-s",
-        "export-symbol-scan-negative-s", "export-table-negative-s",
-        "phi-negative-s", "hamiltonian-negative-s", "hermite-negative-s"])
+        "export-symbol-scan-negative-s", "phi-negative-s",
+        "hamiltonian-negative-s", "hermite-negative-s", "gamma-nan-omega",
+        "gamma-inf-omega", "gamma-nan-mass", "hamiltonian-nan-omega",
+        "oscillator-inf-mass", "oscillator-underflowing-product"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -236,9 +251,9 @@ def test_export_kernel_grid_matches_closed_form(tmp_path, capsys):
         assert complex(re, im) == pytest.approx(want, rel=1e-8, abs=1e-8)
 
 
-def test_export_spectrum_table_columns(capsys):
-    code, out, _ = run_cli(capsys, "export", "--object", "spectrum-table",
-                           "--s-max", "2", "--format", "csv")
+def test_physics_table_columns(capsys):
+    code, out, _ = run_cli(capsys, "physics", "table", "--s-max", "2",
+                           "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     head = lines[0].split(",")
@@ -372,3 +387,130 @@ def test_spectrum_eigenvalue_bytes_do_not_depend_on_blas_threads():
             for n in ("1", "2")]
     assert [p.returncode for p in outs] == [0, 0]
     assert outs[0].stdout == outs[1].stdout
+
+
+# the options of every leaf command, each read by its handler
+LEAF_OPTIONS = {
+    "poly hermite": {"--r", "--s", "--z", "--format", "--out"},
+    "poly assoc-hermite": {"--n", "--s", "--format", "--out"},
+    "basis phi": {"--epsilon", "--n", "--s", "--z", "--format", "--out"},
+    "basis normalization": {"--s", "--t", "--format", "--out"},
+    "kernel": {"--s", "--z", "--zprime", "--format", "--out", "--tol"},
+    "quantize": {"--a", "--b", "--s", "--epsilon", "--method", "--format",
+                 "--out", "--dim"},
+    "spectrum eigenvalues": {"--s", "--format", "--out", "--dim"},
+    "spectrum measure": {"--s", "--format", "--out", "--dim"},
+    "physics gamma": {"--mass", "--omega", "--format", "--out"},
+    "physics hamiltonian": {"--s", "--mode", "--length", "--mass", "--omega",
+                            "--format", "--out", "--dim"},
+    "physics table": {"--s-max", "--format", "--out", "--dim"},
+    "verify": {"--suite", "--out", "--seed"},
+    "export": {"--object", "--operator", "--epsilon", "--s", "--zprime",
+               "--extent", "--grid-points", "--format", "--out", "--tol",
+               "--dim"},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    got = {path: {a.option_strings[0] for a in p._actions
+                  if not isinstance(a, argparse._HelpAction)}
+           for path, p in _leaf_parsers(build_parser())}
+    assert got == LEAF_OPTIONS
+    # 103 options before each command was cut down to what it reads
+    assert sum(map(len, got.values())) == 71
+    assert sum(map(len, REMOVED_OPTIONS.values())) == 103 - 71
+
+
+# a valid invocation of each leaf command and the options it no longer takes
+REMOVED_OPTIONS = {
+    ("poly", "hermite", "--r", "1", "--s", "0", "--z", "1"):
+        ("--tol", "--dim", "--seed"),
+    ("poly", "assoc-hermite", "--n", "1", "--s", "0"):
+        ("--tol", "--dim", "--seed"),
+    ("basis", "phi", "--n", "1", "--s", "0", "--z", "1"):
+        ("--tol", "--dim", "--seed"),
+    ("basis", "normalization", "--s", "0", "--t", "1"):
+        ("--tol", "--dim", "--seed"),
+    ("kernel", "--s", "0", "--z", "1", "--zprime", "1"): ("--dim", "--seed"),
+    ("quantize", "--a", "1", "--b", "0", "--s", "0", "--dim", "2"):
+        ("--tol", "--seed"),
+    ("spectrum", "eigenvalues", "--s", "0", "--dim", "2"): ("--tol", "--seed"),
+    ("spectrum", "measure", "--s", "0", "--dim", "2"): ("--tol", "--seed"),
+    ("physics", "gamma", "--omega", "3e15"): ("--tol", "--dim", "--seed"),
+    ("physics", "hamiltonian", "--dim", "3"): ("--tol", "--seed"),
+    ("physics", "table", "--s-max", "0", "--dim", "2"): ("--tol", "--seed"),
+    ("verify", "--suite", "ladder"): ("--format", "--tol", "--dim"),
+    ("export", "--object", "operator", "--dim", "2"): ("--seed", "--s-max"),
+}
+REMOVED_CASES = [(base, flag) for base, flags in REMOVED_OPTIONS.items()
+                 for flag in flags]
+
+
+@pytest.mark.parametrize("base, flag", REMOVED_CASES, ids=[
+    " ".join([w for w in base[:2] if not w.startswith("-")] + [flag])
+    for base, flag in REMOVED_CASES])
+def test_removed_option_is_a_usage_error(capsys, base, flag):
+    code, _, _ = run_cli(capsys, *base)
+    assert code == 0
+    value = "csv" if flag == "--format" else "3"
+    with pytest.raises(SystemExit) as exc:
+        main(list(base) + [flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: hermquant")
+    assert f"error: unrecognized arguments: {flag} {value}\n" in err
+    assert "Traceback" not in err
+
+
+def test_spectrum_table_is_no_export_object(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--object", "spectrum-table"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid choice: 'spectrum-table'" in err
+
+
+def test_parser_accepts_every_benchmark_invocation(monkeypatch):
+    # the benchmark runs these argument lists through the CLI; a change of
+    # options that breaks one of them must fail here first
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    ops = [op for make in workloads.WORKLOADS.values()
+           for op in make(random.Random(1))]
+    assert {op.argv[0] for op in ops} == {"verify", "export", "spectrum",
+                                          "physics"}
+    for op in ops:
+        parser.parse_args(op.argv)
+
+
+def _readme_cli_examples() -> list:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("hermquant ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 15
+    assert any("--out" in argv for argv in examples)
+    # the relative --out paths land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

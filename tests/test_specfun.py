@@ -13,39 +13,40 @@ from hermquant.specfun import (binomial_general, complex_hermite,
                                complex_hermite_laguerre,
                                complex_hermite_laguerre_exact,
                                hyp3f2_terminating, laguerre, laguerre_coeffs,
-                               laguerre_many, pochhammer, pochhammer_exact)
+                               laguerre_many, pochhammer_exact)
 
 from conftest import laguerre_scale, rel_err
 
 
 def test_pochhammer_empty_product():
-    assert pochhammer(5.0, 0) == 1.0
+    assert pochhammer_exact(5, 0) == 1
 
 
 def test_pochhammer_factorial():
-    assert pochhammer(1.0, 4) == 24.0
+    assert pochhammer_exact(1, 4) == 24
 
 
 def test_pochhammer_half_integer():
-    assert pochhammer(1.5, 2) == 1.5 * 2.5 == 3.75
-
-
-def test_pochhammer_overflow_goes_to_infinity():
-    assert pochhammer(300.0, 200) == math.inf
+    assert pochhammer_exact(Fraction(3, 2), 2) == Fraction(15, 4)
 
 
 def test_pochhammer_exact_matches_float():
-    for a in (2, Fraction(1, 2), -3):
+    # an independent route: (a)_k = Gamma(a + k) / Gamma(a) for a > 0, and a
+    # falling product of |a| down to |a| - k + 1 for a nonpositive integer
+    for a in (2, Fraction(1, 2), Fraction(7, 3)):
         for k in range(6):
             assert float(pochhammer_exact(a, k)) == pytest.approx(
-                pochhammer(float(a), k))
+                math.gamma(a + k) / math.gamma(a), rel=1e-14)
+    for k in range(6):
+        assert pochhammer_exact(-3, k) == (
+            (-1) ** k * math.perm(3, k))
 
 
-@given(st.floats(-10, 10), st.integers(0, 8), st.integers(0, 8))
+@given(st.fractions(-10, 10, max_denominator=8), st.integers(0, 8),
+       st.integers(0, 8))
 def test_pochhammer_splits_multiplicatively(a, j, k):
-    lhs = pochhammer(a, j + k)
-    rhs = pochhammer(a, j) * pochhammer(a + j, k)
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    assert pochhammer_exact(a, j + k) == (
+        pochhammer_exact(a, j) * pochhammer_exact(a + j, k))
 
 
 def test_laguerre_degree_zero_is_one():

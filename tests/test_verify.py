@@ -441,3 +441,30 @@ def test_infimum_check_fails_for_a_wrong_diagonal(monkeypatch):
         physics, "infimum_scan", "(n + 2 * s + 1.0)", "(n + 2 * s + 0.0)"))
     check = {c.name: c for c in verify.suite_physics()}[name]
     assert not check.passed and check.max_residual == pytest.approx(1.0)
+
+
+def test_dual_representation_fails_without_the_k_factorial(monkeypatch):
+    from hermquant import specfun
+
+    name = "basis.hermite_double_sum_vs_laguerre_form"
+    assert _basis_check(name).passed
+    # C(r,k) C(s,k) in place of r!s!/(k!(r-k)!(s-k)!) = k! C(r,k) C(s,k) in
+    # the double sum; the Laguerre form does not read the table
+    monkeypatch.setattr(specfun, "complex_hermite_coeffs", _mutant(
+        specfun, "complex_hermite_coeffs", " * math.factorial(k)", ""))
+    check = _basis_check(name)
+    assert not check.passed and check.max_residual > 0.1
+
+
+def test_quantization_oracle_fails_for_a_flipped_angular_phase(monkeypatch):
+    from hermquant import quantize
+
+    name = "quantize.closed_form_vs_integral"
+    assert {c.name: c for c in verify.suite_quantize()}[name].passed
+    # e^{-+i d theta} in place of e^{+-i d theta} in the quadrature path;
+    # the closed forms take the sector sign from matrices.eps_sign
+    sign = quantize.angular_phase_sign
+    monkeypatch.setattr(quantize, "angular_phase_sign",
+                        lambda epsilon: -sign(epsilon))
+    check = {c.name: c for c in verify.suite_quantize()}[name]
+    assert not check.passed and check.max_residual > 0.1
