@@ -185,16 +185,29 @@ def _physical_params(args) -> "physics.PhysicalParams":
     return physics.PhysicalParams.oscillator(mass, omega)
 
 
+def _mass_omega(args, compute):
+    """compute(), whose ValueError names --mass and --omega."""
+    try:
+        return compute()
+    except ValueError as exc:
+        raise ValueError(f"--mass {args.mass} --omega {args.omega}: {exc}")
+
+
 def cmd_physics(args) -> int:
     if args.which == "gamma":
         par = physics.PhysicalParams.compton(_finite(args.mass, "--mass"),
                                              _finite(args.omega, "--omega"))
-        _emit(_scalar_payload(complex(physics.gamma_ratio(par)), args,
-                              mass=args.mass, omega=args.omega), args)
+        g = _mass_omega(args, lambda: physics.gamma_ratio(par))
+        _emit(_scalar_payload(complex(g), args, mass=args.mass,
+                              omega=args.omega), args)
         return 0
     if args.which == "hamiltonian":
         par = _physical_params(args)
-        op, report = physics.build_physical_AH(par, args.s, args.dim)
+        if args.dim < 3:
+            raise ValueError(f"--dim {args.dim}: the Hamiltonian needs "
+                             f"--dim >= 3")
+        op, report = _mass_omega(args, lambda: physics.build_physical_AH(
+            par, args.s, args.dim))
         if args.format == "csv":
             lines = ["level,energy,gap"]
             levels = report["levels"]

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import SqrtSum
-from .report import CheckResult
+from .report import CheckResult, worst_case
 
 # shared constants: SqrtSum values are never mutated
 _ZERO = SqrtSum(0)
@@ -194,15 +194,9 @@ def basis_window(n_max: int, s_max: int):
 
 
 def _check_identity(name: str, lhs_fn, rhs_fn, window) -> CheckResult:
-    worst = 0.0
-    witness = None
-    for idx in window:
-        diff = sum_sub(lhs_fn(idx), rhs_fn(idx))
-        res = sum_residual(diff)
-        if res > worst:
-            worst = res
-            witness = repr(idx)
-    return CheckResult(name, worst, 0.0, len(window), witness)
+    return worst_case(name, 0.0, (
+        (sum_residual(sum_sub(lhs_fn(idx), rhs_fn(idx))), repr(idx))
+        for idx in window))
 
 
 def commutator(op_a: str, op_b: str, idx: SectorIndex) -> WeightedIndexSum:
@@ -298,40 +292,34 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
         lambda i: apply_word(bdag_word, i), lambda i: {}, [ground(0)]))
 
     # Phi_n = b^n Phi_0 / sqrt(eps_n!) = phi_{0;n}/sqrt(n!);  Psi_n = sqrt(n!) phi_{0;n}
-    worst = 0.0
-    witness = None
-    vec_b = {ground(0): _ONE}
-    vec_ad = {ground(0): _ONE}
-    for n in range(1, n_max + 1):
-        vec_b = apply_word(b_word, vec_b)
-        vec_ad = apply_word(adag_word, vec_ad)
-        want_b = {ground(n): SqrtSum(math.factorial(n))}
-        want_ad = {ground(n): SqrtSum(math.factorial(n) ** 2)}
-        for diff in (sum_sub(vec_b, want_b), sum_sub(vec_ad, want_ad)):
-            res = sum_residual(diff)
-            if res > worst:
-                worst, witness = res, f"n={n}"
-    checks.append(CheckResult("nlpb.raising_chains_build_ground_states",
-                              worst, 0.0, 2 * n_max, witness))
+    def raising_chains():
+        vec_b = {ground(0): _ONE}
+        vec_ad = {ground(0): _ONE}
+        for n in range(1, n_max + 1):
+            vec_b = apply_word(b_word, vec_b)
+            vec_ad = apply_word(adag_word, vec_ad)
+            want_b = {ground(n): SqrtSum(math.factorial(n))}
+            want_ad = {ground(n): SqrtSum(math.factorial(n) ** 2)}
+            yield sum_residual(sum_sub(vec_b, want_b)), f"n={n} b"
+            yield sum_residual(sum_sub(vec_ad, want_ad)), f"n={n} adag"
 
-    # p3: a Phi_n = sqrt(eps_n) Phi_{n-1} and b! Psi_n = sqrt(eps_n) Psi_{n-1}
-    worst = 0.0
-    witness = None
-    for n in range(1, n_max + 1):
-        inv = SqrtSum.sqrt(Fraction(1, math.factorial(n)))
-        phi_n = {ground(n): inv}
-        lhs = apply_word(a_word, phi_n)
-        eps_root = SqrtSum.sqrt(n ** 3)
-        rhs = {ground(n - 1): eps_root * SqrtSum.sqrt(Fraction(1, math.factorial(n - 1)))}
-        res = sum_residual(sum_sub(lhs, rhs))
-        psi_n = {ground(n): SqrtSum.sqrt(math.factorial(n))}
-        lhs2 = apply_word(bdag_word, psi_n)
-        rhs2 = {ground(n - 1): eps_root * SqrtSum.sqrt(math.factorial(n - 1))}
-        res = max(res, sum_residual(sum_sub(lhs2, rhs2)))
-        if res > worst:
-            worst, witness = res, f"n={n}"
-    checks.append(CheckResult("nlpb.three_halves_power_ladder_rule",
-                              worst, 0.0, 2 * n_max, witness))
+    checks.append(worst_case("nlpb.raising_chains_build_ground_states", 0.0,
+                             raising_chains()))
+
+    # p3: a Phi_n = sqrt(eps_n) Phi_{n-1} and b! Psi_n = sqrt(eps_n) Psi_{n-1},
+    # where Phi_k and Psi_k carry the squared weights 1/k! and k!
+    def ladder_rule():
+        for n in range(1, n_max + 1):
+            for op, word, weight in (
+                    ("a", a_word, lambda k: Fraction(1, math.factorial(k))),
+                    ("bdag", bdag_word, math.factorial)):
+                lhs = apply_word(word, {ground(n): SqrtSum.sqrt(weight(n))})
+                rhs = {ground(n - 1): SqrtSum.sqrt(n ** 3)
+                       * SqrtSum.sqrt(weight(n - 1))}
+                yield sum_residual(sum_sub(lhs, rhs)), f"n={n} {op}"
+
+    checks.append(worst_case("nlpb.three_halves_power_ladder_rule", 0.0,
+                             ladder_rule()))
 
     # M = b a equals N_R N_L^2 everywhere, with eigenvalue n^3 on ground states
     window = basis_window(n_max, s_max)
@@ -346,19 +334,20 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
         [ground(n) for n in range(n_max + 1)]))
 
     # norm ratio ||Psi_n||/||Phi_n|| = n! grows without bound
-    ratios = []
-    okgrow = True
-    for n in range(0, n_max + 1):
-        num = norm_squared({ground(n): SqrtSum.sqrt(math.factorial(n))})
-        den = norm_squared({ground(n): SqrtSum.sqrt(Fraction(1, math.factorial(n)))})
-        ratio_sq = num / den
-        if ratio_sq != Fraction(math.factorial(n)) ** 2:
-            okgrow = False
-        ratios.append(ratio_sq)
-    okgrow = okgrow and all(b > a for a, b in zip(ratios[1:], ratios[2:]))
-    checks.append(CheckResult("nlpb.norm_ratio_factorial_growth",
-                              float(not okgrow), 0.0, n_max + 1,
-                              "ratio sequence"))
+    def norm_ratios():
+        prev = None
+        for n in range(0, n_max + 1):
+            num = norm_squared({ground(n): SqrtSum.sqrt(math.factorial(n))})
+            den = norm_squared(
+                {ground(n): SqrtSum.sqrt(Fraction(1, math.factorial(n)))})
+            ratio_sq = num / den
+            ok = (ratio_sq == Fraction(math.factorial(n)) ** 2
+                  and (n < 2 or ratio_sq > prev))
+            yield float(not ok), f"n={n}"
+            prev = ratio_sq
+
+    checks.append(worst_case("nlpb.norm_ratio_factorial_growth", 0.0,
+                             norm_ratios()))
     return checks
 
 
@@ -392,17 +381,15 @@ def dual_hamiltonian_verify(n_max: int, s: int) -> list:
                         lambda i: {}, window),
     ]
     # the transformed eigenvectors x1! phi^R_{n;s} = sqrt(n+s) phi^L_{n-1;s}
-    worst = 0.0
-    witness = None
-    for n in range(1, n_max + 1):
-        vec2 = apply_word(x1dag_word, right(n, s))
-        want = {left(n - 1, s): _sq(n + s)} if n + s else {}
-        res = sum_residual(sum_sub(vec2, want))
-        lhs = apply_word(h2_word, vec2)
-        rhs = {k: SqrtSum(n + s) * c for k, c in vec2.items()}
-        res = max(res, sum_residual(sum_sub(lhs, rhs)))
-        if res > worst:
-            worst, witness = res, f"n={n}"
-    checks.append(CheckResult("dual.transformed_eigenvectors_and_levels",
-                              worst, 0.0, n_max, witness))
+    def transformed():
+        for n in range(1, n_max + 1):
+            vec2 = apply_word(x1dag_word, right(n, s))
+            want = {left(n - 1, s): _sq(n + s)} if n + s else {}
+            yield sum_residual(sum_sub(vec2, want)), f"n={n} vector"
+            lhs = apply_word(h2_word, vec2)
+            rhs = {k: SqrtSum(n + s) * c for k, c in vec2.items()}
+            yield sum_residual(sum_sub(lhs, rhs)), f"n={n} level"
+
+    checks.append(worst_case("dual.transformed_eigenvectors_and_levels", 0.0,
+                             transformed(), n_max))
     return checks

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exact import (ExactC, SqrtSum, exact_adjoint, exact_matmul,
                     exact_max_abs, exact_sub, sqrt_half, to_complex_array)
-from .report import CheckResult
+from .report import CheckResult, worst_case
 
 
 def eps_sign(epsilon: str) -> int:
@@ -194,11 +194,6 @@ def build_Hhat(s: int, N: int, epsilon: str = "L") -> TruncatedOperator:
     return TruncatedOperator.from_exact({0: diag}, N, (0, 0), (epsilon, s))
 
 
-def ground_projector(N: int) -> TruncatedOperator:
-    diag = [ExactC(int(n == 0)) for n in range(N)]
-    return TruncatedOperator.from_exact({0: diag}, N, (0, 0))
-
-
 def commutator_residual(a: dict, b: dict, c: ExactC, s: int, N: int):
     """Largest entry of [a, b] - c (1 + s P_0) on the interior N x N block,
     in exact arithmetic, for exact bands a and b built at N + 2."""
@@ -213,8 +208,8 @@ def _commutator_check(name: str, a, b, c: ExactC, s: int, N: int,
     builders a and b called at N + 2."""
     res = commutator_residual(a(s, N + 2, epsilon).exact,
                               b(s, N + 2, epsilon).exact, c, s, N)
-    return CheckResult(f"matrices.{name}.{epsilon}.s{s}", res, 0.0, N * N,
-                       f"s={s} eps={epsilon}")
+    return worst_case(f"matrices.{name}.{epsilon}.s{s}", 0.0,
+                      [(res, f"s={s} eps={epsilon}")], N * N)
 
 
 def verify_weyl_commutator(s: int, N: int, epsilon: str) -> CheckResult:
@@ -256,7 +251,7 @@ def verify_square_identities(s: int, N: int) -> list:
         ("matrices.Hhat_matches_direct_P2_plus_Q2_over_2", two_hhat, (q2, p2)),
     ):
         res = exact_max_abs(exact_sub(exact_sub(lhs, rhs[0]), rhs[1]))
-        out.append(CheckResult(f"{name}.s{s}", res, 0.0, N * N, f"s={s}"))
+        out.append(worst_case(f"{name}.s{s}", 0.0, [(res, f"s={s}")], N * N))
     return out
 
 

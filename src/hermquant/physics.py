@@ -129,7 +129,10 @@ def si_commutator_residual(params: PhysicalParams, s: int, N: int,
 
 def gamma_ratio(params: PhysicalParams) -> float:
     """hbar omega / (16 m c^2): quantum energy against rest-mass energy."""
-    return params.hbar * params.omega / (16.0 * params.m * params.c ** 2)
+    g = params.hbar * params.omega / (16.0 * params.m * params.c ** 2)
+    if not math.isfinite(g):
+        raise ValueError("gamma = hbar omega / (16 m c^2) overflows a float")
+    return g
 
 
 def internal_energy_prefactor(params: PhysicalParams) -> float:
@@ -151,13 +154,20 @@ def build_physical_AH(params: PhysicalParams, s: int, N: int):
     """
     if N < 3:
         raise ValueError("need N >= 3")
-    kin = params.hbar ** 2 / (2.0 * params.m * params.ell ** 2)
-    pot = params.m * params.omega ** 2 * params.ell ** 2 / 2.0
+    try:  # ell ** 2 may overflow, or underflow to a zero divisor
+        kin = params.hbar ** 2 / (2.0 * params.m * params.ell ** 2)
+        pot = params.m * params.omega ** 2 * params.ell ** 2 / 2.0
+        pref = internal_energy_prefactor(params)
+        finite = math.isfinite(kin + pot + pref)
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValueError(f"at ell = {params.ell:.6g} the kinetic and "
+                         f"potential coefficients leave the float range")
     p2, q2 = (TruncatedOperator.from_exact(exact_matmul(x, x), N,
                                            (-2, 2)).bands
               for x in (build_P(s, N + 2).exact, build_Q(s, N + 2).exact))
     bands = {k: kin * p2[k] + pot * q2[k] for k in q2}
-    pref = internal_energy_prefactor(params)
     bands[0] += pref * (2 * s + 1)
     bands[0][0] += pref * s
     op = TruncatedOperator(N, bands, -2, 2, ("L", s))

@@ -62,7 +62,7 @@ def _radial_rule(n_r: int) -> tuple:
     k = np.arange(n_r, dtype=float)
     diag = 2.0 * k + 1.0
     off = np.arange(1, n_r, dtype=float)
-    nodes, weights = tridiag.golub_welsch(diag, off, total_mass=1.0)
+    nodes, weights = tridiag.golub_welsch(diag, off)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -157,12 +157,11 @@ def first_component_squared(diag: np.ndarray, off: np.ndarray,
     return np.exp(-logscale) / total
 
 
-def golub_welsch(diag: np.ndarray, off: np.ndarray, total_mass: float = 1.0):
-    """Quadrature nodes and weights of the measure encoded by a Jacobi matrix.
+def golub_welsch(diag: np.ndarray, off: np.ndarray):
+    """Nodes and weights of the unit-mass measure of a Jacobi matrix.
 
-    Nodes are the eigenvalues; each weight is total_mass times the squared
-    first component of the corresponding unit eigenvector.
+    Nodes are the eigenvalues; each weight is the squared first component of
+    the corresponding unit eigenvector.
     """
     nodes = eigenvalues(diag, off)
-    weights = total_mass * first_component_squared(diag, off, nodes)
-    return nodes, weights
+    return nodes, first_component_squared(diag, off, nodes)

@@ -117,6 +117,14 @@ def test_poly_assoc_hermite_coefficients(capsys):
       "--dim", "4"), "--mass -inf"),
     (("physics", "hamiltonian", "--length", "oscillator", "--mass", "1e-200",
       "--omega", "1e-200", "--dim", "4"), "m * omega = 0.0"),
+    (("physics", "gamma", "--omega", "1e308", "--mass", "1e-300"),
+     "--mass 1e-300 --omega 1e+308"),
+    (("physics", "hamiltonian", "--mass", "1e-320", "--dim", "4"),
+     "--mass 1e-320"),
+    (("physics", "hamiltonian", "--mass", "1e-300", "--omega", "1e300"),
+     "--mass 1e-300 --omega 1e+300"),
+    (("physics", "hamiltonian", "--mass", "1e200"), "--mass 1e+200"),
+    (("physics", "hamiltonian", "--dim", "2"), "--dim 2"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
         "table-negative-s-max", "normalization-negative-s",
@@ -128,7 +136,10 @@ def test_poly_assoc_hermite_coefficients(capsys):
         "export-symbol-scan-negative-s", "phi-negative-s",
         "hamiltonian-negative-s", "hermite-negative-s", "gamma-nan-omega",
         "gamma-inf-omega", "gamma-nan-mass", "hamiltonian-nan-omega",
-        "oscillator-inf-mass", "oscillator-underflowing-product"])
+        "oscillator-inf-mass", "oscillator-underflowing-product",
+        "gamma-overflow", "hamiltonian-tiny-mass",
+        "hamiltonian-overflowing-length", "hamiltonian-underflowing-length",
+        "hamiltonian-dim-2"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

@@ -11,9 +11,8 @@ from hermquant.exact import (SqrtSum, exact_matmul, exact_max_abs, exact_sub,
 from hermquant.ladder import ladder_apply, left
 from hermquant.matrices import (TruncatedOperator, band_matvec, build_A_z,
                                 build_A_zbar, build_AH, build_Aq2, build_Hhat,
-                                build_P, build_Q, eps_sign, ground_projector,
-                                operator_csv_rows, operator_json_obj,
-                                verify_almost_canonical,
+                                build_P, build_Q, eps_sign, operator_csv_rows,
+                                operator_json_obj, verify_almost_canonical,
                                 verify_square_identities,
                                 verify_weyl_commutator)
 
@@ -201,8 +200,6 @@ def test_band_metadata_and_violation():
     op = build_Aq2(1, 8)
     assert (op.band_low, op.band_high) == (-2, 2)
     assert op.band_violation() == 0.0
-    proj = ground_projector(4)
-    assert proj.entries[0, 0] == 1 and np.abs(proj.entries).sum() == 1
 
 
 def test_csv_and_json_export_round_trip():

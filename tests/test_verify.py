@@ -10,7 +10,7 @@ import pytest
 
 import hermquant
 from hermquant import verify
-from hermquant.report import CheckResult
+from hermquant.report import CheckResult, worst_case
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -73,6 +73,136 @@ def test_to_dict_passed_is_python_bool():
     d = CheckResult("x", np.float64(0.5), 1.0, np.int64(2)).to_dict()
     assert type(d["passed"]) is bool and d["passed"] is True
     assert type(d["max_residual"]) is float and type(d["n_checked"]) is int
+
+
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_worst_case_fails_for_a_nan_case(at):
+    cases = [(1e-12, "a"), (3e-12, "b"), (2e-12, "c")]
+    cases[at] = (math.nan, "nan")
+    check = worst_case("x", 1.0, cases)
+    assert not check.passed and math.isnan(check.max_residual)
+    assert check.witness == "nan"
+
+
+def test_worst_case_keeps_the_last_of_tied_worst_cases():
+    check = worst_case("x", 0.0, [(1.0, "n=1"), (0.0, "n=2"), (1.0, "n=3"),
+                                  (0.5, "n=4")])
+    assert check.max_residual == 1.0 and check.witness == "n=3"
+    nans = worst_case("x", 0.0, [(math.nan, "n=1"), (2.0, "n=2"),
+                                 (math.nan, "n=3"), (1.0, "n=4")])
+    assert nans.witness == "n=3"
+
+
+def test_worst_case_counts_its_cases():
+    cases = [(0.25, "a"), (0.5, "b"), (0.125, "c")]
+    check = worst_case("x", 1.0, iter(cases))
+    assert check.n_checked == 3 and check.max_residual == 0.5
+    assert check.passed and check.witness is None
+    assert worst_case("x", 1.0, cases, n_checked=81).n_checked == 81
+    empty = worst_case("x", 0.0, [])
+    assert empty.max_residual == 0.0 and empty.n_checked == 0 and empty.passed
+
+
+INJECTED = (math.nan, "injected NaN")
+
+
+def _with_a_nan_case(name, tol, cases, n_checked=None):
+    """worst_case with one NaN case that is neither the first nor the
+    last; a check of one case gets that case again after the NaN."""
+    cases = list(cases)
+    k = max(1, len(cases) // 2)
+    return worst_case(name, tol,
+                      cases[:k] + [INJECTED] + (cases[k:] or cases[-1:]),
+                      n_checked)
+
+
+@pytest.fixture(scope="module")
+def nan_injected_checks() -> dict:
+    """Every check of the six suites, run with one NaN case injected."""
+    from hermquant import ladder, spectral
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (verify, ladder, spectral):
+            patch.setattr(module, "worst_case", _with_a_nan_case)
+        checks = verify.run("all", seed=5)
+    by_name = {}
+    for c in checks:
+        by_name.setdefault(c.name, []).append(c)
+    return by_name
+
+
+@pytest.mark.parametrize("name", sorted(set(
+    (BENCH_DIR / "verify_check_names.txt").read_text().split())))
+def test_one_nan_case_fails_the_check(nan_injected_checks, name):
+    checks = nan_injected_checks[name]
+    assert all(not c.passed and math.isnan(c.max_residual)
+               and c.witness == INJECTED[1] for c in checks)
+
+
+def _nan_where(monkeypatch, module, name: str, nan, when) -> list:
+    """Patch module.name to return nan on the calls whose arguments satisfy
+    when(*args); returns the list of those arguments, filled as they come."""
+    fn, hits = getattr(module, name), []
+
+    def patched(*args, **kwargs):
+        if when(*args):
+            hits.append(args)
+            return nan
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
+    return hits
+
+
+def test_basis_checks_fail_for_nan_values(monkeypatch):
+    from hermquant import basis
+
+    names = ("basis.normalization_closed_vs_series",
+             "basis.displacement_monotonicity")
+    assert all(_basis_check(n).passed for n in names)
+    _nan_where(monkeypatch, verify, "normalization", math.nan,
+               lambda s, t: s == 3 and t > 20)
+    # a NaN term leaves every partial sum after it NaN, and no comparison
+    # of the partial sums with each other or with one is true
+    _nan_where(monkeypatch, basis, "displacement_element", math.nan,
+               lambda m, s, z: s == 1 and m == 40)
+    checks = {c.name: c for c in verify.suite_basis(seed=5)}
+    assert [checks[n].witness for n in names] == ["s=3 t=50",
+                                                  "s=1 z=(1.5-1j)"]
+    assert not any(checks[n].passed for n in names)
+
+
+def test_lower_symbol_checks_fail_for_a_nan_symbol(monkeypatch):
+    from hermquant import quantize
+
+    names = ("quantize.lower_symbol_of_energy",
+             "quantize.lower_symbol_nonnegative_for_psd")
+    checks = {c.name: c for c in verify.suite_quantize()}
+    assert all(checks[n].passed for n in names)
+    # NaN at the third of the six points sampled for each check
+    counts = {0: 0, 2: 0}
+
+    def third_point(op, z, s, *rest):
+        counts[s] += 1
+        return counts[s] == 3
+
+    hits = _nan_where(monkeypatch, quantize, "lower_symbol",
+                      complex(math.nan, 0.0), third_point)
+    checks = {c.name: c for c in verify.suite_quantize()}
+    assert [checks[n].witness for n in names] == [
+        f"z={args[1]:.3f}" for args in hits]
+    assert not any(checks[n].passed for n in names)
+
+
+def test_infimum_check_fails_for_a_nan_infimum(monkeypatch):
+    from hermquant import physics
+
+    name = "physics.quantized_square_infimum"
+    assert {c.name: c for c in verify.suite_physics()}[name].passed
+    _nan_where(monkeypatch, physics, "infimum_scan", (math.nan, []),
+               lambda s: s == 2)
+    check = {c.name: c for c in verify.suite_physics()}[name]
+    assert not check.passed and check.witness == "s=2"
 
 
 def _traced_functions() -> set:
