@@ -120,14 +120,12 @@ def normalization(s: int, t: float) -> float:
     """Coherent-state normalization N_s(t) in closed form:
 
         N_s(t) = e^t - sum_{m<s} (m!/s!) t^{s-m} (L_m^(s-m)(t))^2
+
+    with the subtracted sum taken from `normalization_deficit_log`.
     """
     _check_sector_and_t(s, t)
     _check_exp_range(t)
-    out = math.exp(t)
-    for m in range(s):
-        out -= (math.factorial(m) / math.factorial(s)
-                * t ** (s - m) * laguerre(m, s - m, t) ** 2)
-    return out
+    return math.exp(t) - math.exp(normalization_deficit_log(s, t))
 
 
 def normalization_series(s: int, t: float, tol: float = 1e-14,

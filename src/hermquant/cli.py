@@ -176,13 +176,26 @@ def cmd_spectrum(args) -> int:
     raise ValueError(f"unknown spectrum subcommand {args.which!r}")
 
 
+_SI_DEFAULTS = {"length": "compton", "mass": physics.ELECTRON_MASS_SI,
+                "omega": 3e15}
+
+
 def _physical_params(args) -> "physics.PhysicalParams":
+    """The units of `physics hamiltonian`.  The dimensionless mode fixes
+    every scale, so it reads none of --length, --mass and --omega."""
     if args.mode == "dimensionless":
+        for name in _SI_DEFAULTS:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} {getattr(args, name)}: not read "
+                                 f"under --mode dimensionless")
         return physics.PhysicalParams.dimensionless()
+    for name, default in _SI_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     mass, omega = _finite(args.mass, "--mass"), _finite(args.omega, "--omega")
-    if args.length == "compton":
-        return physics.PhysicalParams.compton(mass, omega)
-    return physics.PhysicalParams.oscillator(mass, omega)
+    build = (physics.PhysicalParams.compton if args.length == "compton"
+             else physics.PhysicalParams.oscillator)
+    return _mass_omega(args, lambda: build(mass, omega))
 
 
 def _mass_omega(args, compute):
@@ -195,9 +208,10 @@ def _mass_omega(args, compute):
 
 def cmd_physics(args) -> int:
     if args.which == "gamma":
-        par = physics.PhysicalParams.compton(_finite(args.mass, "--mass"),
-                                             _finite(args.omega, "--omega"))
-        g = _mass_omega(args, lambda: physics.gamma_ratio(par))
+        mass = _finite(args.mass, "--mass")
+        omega = _finite(args.omega, "--omega")
+        g = _mass_omega(args, lambda: physics.gamma_ratio(
+            physics.PhysicalParams.compton(mass, omega)))
         _emit(_scalar_payload(complex(g), args, mass=args.mass,
                               omega=args.omega), args)
         return 0
@@ -206,8 +220,11 @@ def cmd_physics(args) -> int:
         if args.dim < 3:
             raise ValueError(f"--dim {args.dim}: the Hamiltonian needs "
                              f"--dim >= 3")
-        op, report = _mass_omega(args, lambda: physics.build_physical_AH(
-            par, args.s, args.dim))
+        try:  # the parameters are checked, so only --s leaves the floats
+            op, report = _mass_omega(args, lambda: physics.build_physical_AH(
+                par, args.s, args.dim))
+        except OverflowError as exc:
+            raise ValueError(f"--s {args.s}: {exc}") from None
         if args.format == "csv":
             lines = ["level,energy,gap"]
             levels = report["levels"]
@@ -378,10 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     ph2 = ps.add_parser("hamiltonian")
     ph2.add_argument("--s", type=int, default=0)
     ph2.add_argument("--mode", choices=("si", "dimensionless"), default="si")
-    ph2.add_argument("--length", choices=("compton", "oscillator"),
-                     default="compton")
-    ph2.add_argument("--mass", type=float, default=physics.ELECTRON_MASS_SI)
-    ph2.add_argument("--omega", type=float, default=3e15)
+    # unset here: the si mode fills in _SI_DEFAULTS, the dimensionless mode
+    # rejects them
+    ph2.add_argument("--length", choices=("compton", "oscillator"))
+    ph2.add_argument("--mass", type=float)
+    ph2.add_argument("--omega", type=float)
     common(ph2, dim=True)
     pt = ps.add_parser("table")
     pt.add_argument("--s-max", type=int, default=4)

@@ -40,10 +40,8 @@ class TruncatedOperator:
     bands[k] is the diagonal j - i = k as a read-only complex vector (the
     layout is described in `exact`); every other entry equals `zero`, which
     is 0j, or 0-0j after a conjugation, as numpy's conj leaves it.  A
-    builder stores only band_low <= k <= band_high; an operator taken from a
-    dense array keeps every diagonal that is not all +0, so band_violation
-    sees any entry outside the declared band.  The exact field holds the
-    same diagonals as ExactC lists when available.
+    builder stores only band_low <= k <= band_high.  The exact field holds
+    the same diagonals as ExactC lists when available.
     """
 
     dim: int
@@ -60,19 +58,6 @@ class TruncatedOperator:
             raise ValueError("need dim >= 1 and dim - |k| entries in band k")
         for d in self.bands.values():
             d.setflags(write=False)
-
-    @classmethod
-    def from_dense(cls, entries, band_low: int, band_high: int,
-                   sector=None) -> "TruncatedOperator":
-        """Every diagonal of a square array except those whose bits are all
-        clear (+0), so that .entries rebuilds the array bit for bit."""
-        e = np.asarray(entries, dtype=complex)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must be square")
-        n = e.shape[0]
-        diags = {k: np.diagonal(e, k).copy() for k in range(1 - n, n)}
-        kept = {k: d for k, d in diags.items() if d.view(np.uint64).any()}
-        return cls(n, kept, band_low, band_high, sector)
 
     @classmethod
     def from_exact(cls, exact: dict, N: int, band: tuple[int, int],
@@ -101,11 +86,6 @@ class TruncatedOperator:
             self.dim, {-k: d.conj() for k, d in self.bands.items()},
             -self.band_high, -self.band_low, self.sector, exact,
             self.zero.conjugate())
-
-    def band_violation(self) -> float:
-        """Largest entry magnitude outside the declared band."""
-        return max((float(np.abs(d).max()) for k, d in self.bands.items()
-                    if not self.band_low <= k <= self.band_high), default=0.0)
 
 
 def band_matvec(bands: dict, c: np.ndarray) -> np.ndarray:

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .basis import _log_phi, cs_coefficients
 from .errors import HintViolation, PoleError
+from .exact import ExactC, SqrtSum
 from .matrices import TruncatedOperator, band_matvec, eps_sign
 from .quadrature import QuadratureRule, gauss_laguerre_rule, rule_for
-from .specfun import laguerre, log_factorial
+from .specfun import laguerre
 
 
 def angular_phase_sign(epsilon: str) -> int:
@@ -80,7 +82,7 @@ def _band_offset(a: int, b: int, epsilon: str) -> int:
 
 def quantize_monomial(a: int, b: int, s: int, epsilon: str,
                       N: int) -> TruncatedOperator:
-    """Closed-form quantization of z^a zbar^b on sector (epsilon, s).
+    """Closed-form quantization of z^a zbar^b on sector (epsilon, s), exact.
 
     Entries live on the single band n - n' = eps(b-a) (eps = +1 for L) and
     are the finite sums
@@ -88,28 +90,29 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
       (-1)^s sqrt((n+s)!/(n'+s)!) sum_{m=sup(0, s-a_-eps)}^{s} (-1)^m
           (n+a_eps+m)! (a_-eps+m)! / (m! (s-m)! (m+n)! (a_-eps-s+m)!)
 
-    with a_+ = a and a_- = b for 'L', swapped for 'R'.
+    with a_+ = a and a_- = b for 'L', swapped for 'R'.  The sum is an
+    integer and the root an exact SqrtSum, so the band is held as ExactC
+    values and each float is rounded from its exact value.
     """
     if N < 1:
         raise ValueError("N must be positive")
     sgn = -eps_sign(epsilon)  # +1 for L, -1 for R
     a_eps = a if sgn == 1 else b
     a_meps = b if sgn == 1 else a
-    entries = np.zeros((N, N), dtype=complex)
     offset = _band_offset(a, b, epsilon)
-    for n in range(N):
-        nprime = n - sgn * (b - a)
-        if not 0 <= nprime < N:
-            continue
+    band = []
+    for n in range(max(0, -offset), N - max(0, offset)):
         total = 0
         for m in range(max(0, s - a_meps), s + 1):
             total += ((-1) ** m
                       * math.factorial(n + a_eps + m) * math.factorial(a_meps + m)
                       // (math.factorial(m) * math.factorial(s - m)
                           * math.factorial(m + n) * math.factorial(a_meps - s + m)))
-        ratio = math.exp(0.5 * (log_factorial(n + s) - log_factorial(nprime + s)))
-        entries[n, nprime] = (-1) ** s * ratio * total
-    return TruncatedOperator.from_dense(entries, offset, offset, (epsilon, s))
+        root = SqrtSum.sqrt(Fraction(math.factorial(n + s),
+                                     math.factorial(n + offset + s)))
+        band.append(ExactC(root * ((-1) ** s * total)))
+    return TruncatedOperator.from_exact({offset: band}, N, (offset, offset),
+                                        (epsilon, s))
 
 
 def default_rule(f, s: int, N: int) -> QuadratureRule:

@@ -111,32 +111,19 @@ def laguerre_many(s: int, alphas, x) -> np.ndarray:
     return lk
 
 
-def hyp3f2_terminating(a1, a2, a3, b1, b2, exact: bool = False):
-    """Terminating 3F2(a1, a2, a3; b1, b2; 1) with a1 a nonpositive integer.
+def hyp3f2_terminating(a1, a2, a3, b1, b2) -> Fraction:
+    """Terminating 3F2(a1, a2, a3; b1, b2; 1) with a1 a nonpositive integer,
+    summed exactly.
 
-    Sums k+1 terms for a1 = -k.  Raises PoleError when (b1)_j or (b2)_j
-    vanishes inside the summation range.  With exact=True all parameters are
-    coerced to Fraction and the sum is exact.
+    Sums k+1 terms for a1 = -k in Fraction arithmetic; a float parameter is
+    taken at its exact binary value.  Raises PoleError when (b1)_j or (b2)_j
+    vanishes inside the summation range.
     """
-    k = -a1
-    if isinstance(k, Fraction):
-        if k.denominator != 1:
-            raise ValueError("a1 must be a nonpositive integer")
-        k = k.numerator
-    if isinstance(k, float):
-        if k != int(k):
-            raise ValueError("a1 must be a nonpositive integer")
-        k = int(k)
-    if k < 0:
+    a1, a2, a3, b1, b2 = (Fraction(v) for v in (a1, a2, a3, b1, b2))
+    if a1.denominator != 1 or a1 > 0:
         raise ValueError("a1 must be a nonpositive integer")
-    if exact:
-        a1, a2, a3, b1, b2 = (Fraction(v) for v in (a1, a2, a3, b1, b2))
-        term = Fraction(1)
-        total = Fraction(1)
-    else:
-        term = 1.0
-        total = 1.0
-    for j in range(k):
+    term = total = Fraction(1)
+    for j in range(-a1.numerator):
         d1 = b1 + j
         d2 = b2 + j
         if d1 == 0 or d2 == 0:
@@ -145,7 +132,7 @@ def hyp3f2_terminating(a1, a2, a3, b1, b2, exact: bool = False):
                 f"(b1={b1}, b2={b2})"
             )
         term = term * (a1 + j) * (a2 + j) * (a3 + j) / (d1 * d2 * (j + 1))
-        total = total + term
+        total += term
     return total
 
 

@@ -11,8 +11,8 @@ terminating 3F2 sums.
 Eigenvalues come from Sturm multisection on the float Jacobi matrix (tridiag);
 the exact polynomials serve the identity checks.  Exact polynomial
 recurrences run on integers scaled by powers of 2 and divide once at the
-end; float evaluation switches to a compensated (error-free transformation)
-Horner beyond degree 15, where naive evaluation near roots loses digits.
+end; evaluation at a float is exact as well and rounds once, so no
+cancellation near a root costs digits.
 """
 
 from __future__ import annotations
@@ -27,37 +27,6 @@ from . import tridiag
 from .errors import PoleError
 from .report import worst_case
 from .specfun import hyp3f2_terminating, pochhammer_exact
-
-_COMPENSATED_DEGREE = 15
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    c = 134217729.0 * a
-    ah = c - (c - a)
-    al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def compensated_horner(coeffs_desc, x: float) -> float:
-    """Horner evaluation with error-free transformations; coefficients in
-    descending degree order."""
-    s = coeffs_desc[0]
-    comp = 0.0
-    for a in coeffs_desc[1:]:
-        p, perr = _two_prod(s, x)
-        s, serr = _two_sum(p, a)
-        comp = comp * x + (perr + serr)
-    return s + comp
 
 
 class PolyExact:
@@ -92,13 +61,15 @@ class PolyExact:
         return f"PolyExact({list(self.coeffs)})"
 
     def __call__(self, x: float) -> float:
-        desc = [float(a) for a in reversed(self.coeffs)]
-        if self.degree <= _COMPENSATED_DEGREE:
-            acc = 0.0
-            for a in desc:
-                acc = acc * x + a
-            return acc
-        return compensated_horner(desc, x)
+        """The value at x, correctly rounded.  With x = p/q exactly and D the
+        lcm of the coefficient denominators, the integer
+        sum_k (D c_k) p^k q^(d-k) is divided by D q^d once."""
+        p, q = x.as_integer_ratio()
+        big_d = math.lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
+        for k, c in enumerate(reversed(self.coeffs)):
+            acc = acc * p + c.numerator * (big_d // c.denominator) * q ** k
+        return acc / (big_d * q ** self.degree)
 
 
 def _shift(coeffs) -> list:
@@ -301,9 +272,8 @@ def assoc_laguerre_coeffs(n: int, alpha: Fraction, c: Fraction,
         _pole_scan_pochhammer(c + 1, m, "(c+1)_m")
         _pole_scan_pochhammer(alpha + 1, m, "(alpha+1)_m")
         a2 = m - alpha + (1 if shifted else 0)
-        f = hyp3f2_terminating(Fraction(m - n), a2, c,
-                               -alpha - n, c + m + 1, exact=True)
-        coef = (pref * pochhammer_exact(Fraction(-n), m) * Fraction(f)
+        f = hyp3f2_terminating(m - n, a2, c, -alpha - n, c + m + 1)
+        coef = (pref * pochhammer_exact(Fraction(-n), m) * f
                 / (pochhammer_exact(c + 1, m) * pochhammer_exact(alpha + 1, m)))
         out.append(coef)
     return out

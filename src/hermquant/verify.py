@@ -22,6 +22,7 @@ from . import (__version__, basis, ladder, matrices, physics, quantize,
 from .basis import kernel, kernel_s1_closed, normalization, \
     normalization_series, reproduce
 from .errors import PoleError
+from .exact import exact_max_abs, exact_sub
 from .quadrature import gauss_laguerre_rule, grid_points
 from .report import worst_case
 from .specfun import (complex_hermite, complex_hermite_coeffs,
@@ -231,10 +232,15 @@ def suite_quantize(seed: int = 20240902) -> list:
     def band_cases():
         for s in range(4):
             for eps in ("L", "R"):
+                # the support n - n' = eps (b - a), eps = +1 for L, lies on
+                # the column-minus-row offset eps (a - b)
+                sign = 1 if eps == "L" else -1
                 for (a, b) in ((1, 0), (2, 0), (2, 1), (0, 3), (1, 1)):
                     wit = f"a={a} b={b} s={s} eps={eps}"
                     op = quantize.quantize_monomial(a, b, s, eps, 10)
-                    yield op.band_violation(), wit + " band"
+                    off_band = ~np.eye(10, k=sign * (a - b), dtype=bool)
+                    yield float(np.abs(op.entries[off_band]).max()), \
+                        wit + " band"
                     adj = quantize.quantize_monomial(b, a, s, eps, 10)
                     yield float(np.abs(op.entries - adj.entries.conj().T)
                                 .max()), wit + " adjoint"
@@ -243,13 +249,17 @@ def suite_quantize(seed: int = 20240902) -> list:
                              1e-12, band_cases(), 40))
 
     def decomposition_residual(s):
-        comb = (quantize.quantize_monomial(1, 1, s, "L", 12).entries
-                + 0.5 * (quantize.quantize_monomial(2, 0, s, "L", 12).entries
-                         + quantize.quantize_monomial(0, 2, s, "L", 12).entries))
-        return float(np.abs(comb - matrices.build_Aq2(s, 12).entries).max())
+        # 2 A_{q^2} - 2 A_{z zbar} - A_{z^2} - A_{zbar^2}, in exact arithmetic
+        zzbar, z2, zbar2 = (quantize.quantize_monomial(a, b, s, "L", 12).exact
+                            for a, b in ((1, 1), (2, 0), (0, 2)))
+        rest = {k: [x * 2 for x in d]
+                for k, d in matrices.build_Aq2(s, 12).exact.items()}
+        for term in (zzbar, zzbar, z2, zbar2):
+            rest = exact_sub(rest, term)
+        return exact_max_abs(rest)
 
     checks.append(worst_case(
-        "quantize.position_square_decomposition", QUAD_TOL, (
+        "quantize.position_square_decomposition", 0.0, (
             (decomposition_residual(s), f"s={s}") for s in range(4))))
 
     rng = np.random.default_rng(seed)
@@ -346,6 +356,36 @@ def suite_spectral() -> list:
     return checks
 
 
+def infimum_scan_direct(s: int, z: complex = 1.0 + 0.0j,
+                        sigmas=(1.0, 1e-1, 1e-2, 1e-3, 1e-4)):
+    """physics.infimum_scan by its definition: <A_{q^2}> - <Q^2> on the
+    coherent states z/sqrt(sigma), each expectation value a banded sum.
+
+    The two sums reach about 1e4 at sigma = 1e-4, where their difference
+    keeps up to 2e-11 of cancellation noise.  Each is the math.fsum of its
+    element-wise products, correctly rounded in any order, so the samples do
+    not depend on the BLAS thread count.  Returns (extrapolated, samples).
+    """
+    samples = []
+    for sigma in sigmas:
+        w = complex(z) / math.sqrt(sigma)
+        t = abs(w) ** 2
+        dim = int(t + 12.0 * math.sqrt(t) + 60)
+        c = basis.cs_coefficients(s, w, dim, "L", tol=1e-9)
+        n = np.arange(dim, dtype=float)
+        # <A_{q^2}>: diagonal n + 2s + 1 plus the double-shift band
+        off2 = np.sqrt((n[:-2] + s + 1.0) * (n[:-2] + s + 2.0)) / 2.0
+        val_a = math.fsum(((n + 2 * s + 1.0) * np.abs(c) ** 2).tolist())
+        val_a += 2.0 * math.fsum(
+            np.real(off2 * np.conj(c[:-2]) * c[2:]).tolist())
+        # <Q^2> = ||Q c||^2 with the tridiagonal position matrix
+        cpl = np.sqrt((n[:-1] + s + 1.0) / 2.0)
+        qc = matrices.band_matvec({1: cpl, -1: cpl}, c)
+        val_q = math.fsum((qc.view(float) ** 2).tolist())
+        samples.append(val_a - val_q)
+    return physics.aitken_extrapolate(samples), samples
+
+
 def suite_physics() -> list:
     par = physics.PhysicalParams.compton(physics.ELECTRON_MASS_SI, 3e15)
     lhs = par.hbar ** 2 / (4.0 * par.m * par.ell ** 2)
@@ -399,9 +439,17 @@ def suite_physics() -> list:
 
     checks.append(worst_case("physics.substituted_hamiltonian_first_gap", 0.0,
                              first_gaps()))
-    checks.append(worst_case("physics.quantized_square_infimum", 1e-3, (
-        (abs(physics.infimum_scan(s)[0] - (s + 0.5)), f"s={s}")
-        for s in range(4))))
+    def infimum_cases():
+        for s in range(4):
+            direct, direct_samples = infimum_scan_direct(s)
+            closed, closed_samples = physics.infimum_scan(s)
+            yield abs(direct - (s + 0.5)), f"s={s}"
+            yield abs(closed - direct), f"s={s}"
+            for k, (d, c) in enumerate(zip(direct_samples, closed_samples)):
+                yield abs(c - d), f"s={s} sample={k}"
+
+    checks.append(worst_case("physics.quantized_square_infimum", 1e-3,
+                             infimum_cases()))
 
     # with units restored, [Q, P] reads i hbar (1 + s P0): Q and P built in
     # SI units for the electron, compared exactly against its hbar

@@ -125,6 +125,20 @@ def test_poly_assoc_hermite_coefficients(capsys):
      "--mass 1e-300 --omega 1e+300"),
     (("physics", "hamiltonian", "--mass", "1e200"), "--mass 1e+200"),
     (("physics", "hamiltonian", "--dim", "2"), "--dim 2"),
+    (("physics", "hamiltonian", "--mass", "1e290"),
+     "--mass 1e+290 --omega 3000000000000000.0: ell = 0.0"),
+    (("physics", "gamma", "--mass", "1e300", "--omega", "1e308"),
+     "--mass 1e+300 --omega 1e+308: ell = 0.0"),
+    (("physics", "hamiltonian", "--s", "1" + "0" * 320, "--dim", "3"),
+     "--s 1000"),
+    (("physics", "hamiltonian", "--s", "1" + "0" * 200, "--dim", "3"),
+     "--s 1000"),
+    (("physics", "hamiltonian", "--mode", "dimensionless", "--omega", "nan"),
+     "--omega nan: not read under --mode dimensionless"),
+    (("physics", "hamiltonian", "--mode", "dimensionless", "--mass", "2"),
+     "--mass 2.0: not read"),
+    (("physics", "hamiltonian", "--mode", "dimensionless", "--length",
+      "compton"), "--length compton: not read"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
         "table-negative-s-max", "normalization-negative-s",
@@ -139,7 +153,10 @@ def test_poly_assoc_hermite_coefficients(capsys):
         "oscillator-inf-mass", "oscillator-underflowing-product",
         "gamma-overflow", "hamiltonian-tiny-mass",
         "hamiltonian-overflowing-length", "hamiltonian-underflowing-length",
-        "hamiltonian-dim-2"])
+        "hamiltonian-dim-2", "hamiltonian-underflowing-ell",
+        "gamma-underflowing-ell", "hamiltonian-s-beyond-floats",
+        "hamiltonian-s-squares-beyond-floats", "dimensionless-omega",
+        "dimensionless-mass", "dimensionless-length"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

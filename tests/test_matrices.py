@@ -20,7 +20,7 @@ from hermquant.matrices import (TruncatedOperator, band_matvec, build_A_z,
 def test_annihilator_superdiagonal_s0():
     op = build_A_z(0, 5, "L")
     assert np.allclose(np.diag(op.entries, 1), np.sqrt([1, 2, 3, 4]))
-    assert op.band_violation() == 0.0
+    assert set(op.bands) == {1}
 
 
 def test_annihilator_superdiagonal_s2():
@@ -127,14 +127,6 @@ def test_band_products_match_dense_products(rng):
                            atol=1e-13)
 
 
-def test_out_of_band_entry_is_a_band_violation():
-    entries = build_Aq2(1, 8).entries.copy()
-    entries[0, 5] = 1e-3
-    op = TruncatedOperator.from_dense(entries, -2, 2)
-    assert op.band_violation() == 1e-3
-    assert np.array_equal(op.entries, entries)
-
-
 def test_commutator_float_matches_shifted_identity():
     s, N = 3, 8
     q = build_Q(s, N + 2).entries
@@ -199,7 +191,9 @@ def test_eps_sign_convention():
 def test_band_metadata_and_violation():
     op = build_Aq2(1, 8)
     assert (op.band_low, op.band_high) == (-2, 2)
-    assert op.band_violation() == 0.0
+    # nothing outside the declared band
+    assert not np.triu(op.entries, 3).any()
+    assert not np.tril(op.entries, -3).any()
 
 
 def test_csv_and_json_export_round_trip():
@@ -216,8 +210,6 @@ def test_csv_and_json_export_round_trip():
 
 
 def test_truncated_operator_validation():
-    with pytest.raises(ValueError):
-        TruncatedOperator.from_dense(np.zeros((2, 3)), 0, 0)
     with pytest.raises(ValueError):
         TruncatedOperator(3, {1: np.ones(3)}, 1, 1)  # offset 1 holds 2
     op = build_Q(0, 4)

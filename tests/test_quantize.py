@@ -5,7 +5,8 @@ import pytest
 
 from hermquant.basis import BasisLabel, phi
 from hermquant.errors import HintViolation, PoleError, TailError
-from hermquant.matrices import build_A_z, build_AH, build_Aq2
+from hermquant.exact import exact_max_abs, exact_sub
+from hermquant.matrices import build_A_z, build_A_zbar, build_AH, build_Aq2
 from hermquant.quadrature import gauss_laguerre_rule
 from hermquant.quantize import (Monomial, Sampled, angular_phase_sign,
                                 default_rule, laguerre_integral,
@@ -142,12 +143,35 @@ def test_band_selection_rule():
     for s in range(3):
         for eps in ("L", "R"):
             for (a, b) in ((1, 0), (2, 1), (0, 3)):
+                # n - n' = eps (b - a) with eps = +1 for L: column minus
+                # row is eps (a - b)
+                off = (1 if eps == "L" else -1) * (a - b)
                 closed = quantize_monomial(a, b, s, eps, 10)
-                assert closed.band_violation() == 0.0
+                assert set(closed.bands) == set(closed.exact) == {off}
+                assert (closed.band_low, closed.band_high) == (off, off)
                 numeric = quantize_numeric(Monomial(a, b), s, eps, 10)
-                off = closed.band_low
                 mask = ~np.eye(10, k=off, dtype=bool)
                 assert np.abs(numeric.entries[mask]).max() < 1e-12
+
+
+@pytest.mark.parametrize("eps", ["L", "R"])
+@pytest.mark.parametrize("s", range(5))
+def test_monomials_equal_the_matrix_builders_exactly(s, eps):
+    # z, zbar and |z|^2 quantize to the builders' exact bands, and so to
+    # the same floats
+    for (a, b), build in (((1, 0), build_A_z), ((0, 1), build_A_zbar),
+                          ((1, 1), build_AH)):
+        closed, built = quantize_monomial(a, b, s, eps, 9), build(s, 9, eps)
+        assert closed.exact == built.exact
+        assert np.array_equal(closed.entries, built.entries)
+    # q^2 = (z^2 + zbar^2)/2 + z zbar, doubled to stay on integers
+    zzbar, z2, zbar2 = (quantize_monomial(a, b, s, eps, 9).exact
+                        for a, b in ((1, 1), (2, 0), (0, 2)))
+    rest = {k: [x * 2 for x in d]
+            for k, d in build_Aq2(s, 9, eps).exact.items()}
+    for term in (zzbar, zzbar, z2, zbar2):
+        rest = exact_sub(rest, term)
+    assert exact_max_abs(rest) == 0.0
 
 
 def test_adjoint_covariance_under_conjugation():

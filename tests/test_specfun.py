@@ -162,10 +162,12 @@ def test_hyp3f2_single_step():
 
 def test_hyp3f2_exact_mode():
     got = hyp3f2_terminating(Fraction(-2), Fraction(1, 2), Fraction(3),
-                             Fraction(5, 2), Fraction(2), exact=True)
+                             Fraction(5, 2), Fraction(2))
     # 1 + (-2)(1/2)(3)/((5/2)(2)) + [(-2)(-1)(1/2)(3/2)(3)(4)]/[(5/2)(7/2)(2)(3) * 2]
     want = 1 + Fraction(-3, 5) + Fraction(18, Fraction(105, 2) * 2)
-    assert got == want
+    assert type(got) is Fraction and got == want
+    # a float parameter enters at its exact binary value
+    assert hyp3f2_terminating(-1, 0.1, 1, 1, 1) == 1 - Fraction(0.1)
 
 
 def test_hyp3f2_pole_detection():

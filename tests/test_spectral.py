@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from hermquant.spectral import (DiscreteMeasure, JacobiMatrix, PolyExact,
                                 assoc_hermite, assoc_hermite_laguerre_check,
                                 assoc_laguerre_coeffs, carleman_partial_sum,
-                                char_poly, compensated_horner, eigenvalues,
+                                char_poly, eigenvalues,
                                 golub_welsch, monic_q, orthonormal_values,
                                 selfadjointness_divergence_test)
 
@@ -115,20 +115,25 @@ def test_roots_annihilate_exact_polynomial():
             assert abs(q(x)) <= 1e-13 * scale_at(x)
 
 
-def test_compensated_horner_beats_cancellation():
-    # (x - 1)^12 near x = 1: naive evaluation is pure noise at this scale,
-    # the compensated form stays within its eps^2 * condition bound
+def test_exact_evaluation_beats_cancellation():
+    # (x - 1)^12 near x = 1: naive Horner is pure noise at this scale, the
+    # exact evaluation returns the value itself
     coeffs = [math.comb(12, k) * (-1) ** (12 - k) for k in range(13)]
     x = 1.0009765625  # 1 + 2^-10, exact in binary
-    exact = (x - 1.0) ** 12
-    got = compensated_horner(list(reversed(coeffs)), x)
+    assert PolyExact(coeffs)(x) == 2.0 ** -120
     naive = 0.0
     for c in coeffs[::-1]:
         naive = naive * x + c
-    eps = np.finfo(float).eps
-    cond_scale = sum(abs(c) * x**k for k, c in enumerate(coeffs))
-    assert abs(got - exact) <= 64 * eps**2 * cond_scale
-    assert abs(naive - exact) > 1e4 * abs(got - exact)
+    assert abs(naive - 2.0 ** -120) > 1e20 * 2.0 ** -120
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=50, min_value=-1000,
+                             max_value=1000), min_size=1, max_size=14),
+       st.floats(min_value=-30.0, max_value=30.0))
+def test_poly_value_is_the_rounded_exact_value(coeffs, x):
+    exact = sum(c * Fraction(x) ** k for k, c in enumerate(coeffs))
+    assert PolyExact(coeffs)(x) == float(exact)
 
 
 @pytest.mark.parametrize("s", range(5))

@@ -194,6 +194,19 @@ def test_lower_symbol_checks_fail_for_a_nan_symbol(monkeypatch):
     assert not any(checks[n].passed for n in names)
 
 
+def test_infimum_check_fails_for_a_wrong_identity(monkeypatch):
+    from hermquant import physics
+
+    name = "physics.quantized_square_infimum"
+    # s |c_0|^2 in place of (s/2) |c_0|^2: the limit s + 1/2 is unchanged,
+    # so only the samples at the widest states see it
+    monkeypatch.setattr(physics, "infimum_scan", _mutant(
+        physics, "infimum_scan", "0.5 * s * poisson_like_pmf",
+        "s * poisson_like_pmf"))
+    check = {c.name: c for c in verify.suite_physics()}[name]
+    assert not check.passed and check.witness == "s=3 sample=0"
+
+
 def test_infimum_check_fails_for_a_nan_infimum(monkeypatch):
     from hermquant import physics
 
@@ -261,6 +274,21 @@ def test_band_rule_fails_for_a_wrong_declared_band(monkeypatch):
                         lambda a, b, eps: offset(a, b, eps) + 1)
     check = {c.name: c for c in verify.suite_quantize()}[name]
     assert not check.passed and check.max_residual > 0.1
+
+
+def test_band_rule_fails_for_a_transposed_band(monkeypatch):
+    from hermquant import quantize
+
+    name = "quantize.band_rule_and_adjoint_covariance"
+    assert {c.name: c for c in verify.suite_quantize()}[name].passed
+    # the band of z^a zbar^b placed where that of z^b zbar^a belongs: the
+    # adjoint pairs still match, only the band rule of verify sees it
+    offset = quantize._band_offset
+    monkeypatch.setattr(quantize, "_band_offset",
+                        lambda a, b, eps: -offset(a, b, eps))
+    check = {c.name: c for c in verify.suite_quantize()}[name]
+    assert not check.passed and check.max_residual > 0.1
+    assert check.witness.endswith(" band")
 
 
 def test_si_commutator_fails_for_a_wrong_scale_product(monkeypatch):
@@ -509,11 +537,21 @@ def _uncertified_seed(monkeypatch, tridiag):
         "certified = rows >= 0"))
 
 
+def _descending_order(monkeypatch, tridiag):
+    from hermquant import spectral
+
+    # the right eigenvalues, largest first
+    values = spectral.eigenvalues
+    monkeypatch.setattr(spectral, "eigenvalues",
+                        lambda n, s: values(n, s)[::-1])
+
+
 @pytest.mark.parametrize("mutate, failing", (
     (_off_by_one_sweep, {"spectral.spectrum_symmetric_about_zero"}),
     (_uncertified_seed, {"spectral.spectrum_symmetric_about_zero",
                          "spectral.golub_welsch_orthonormality"}),
-), ids=("off-by-one-sweep", "uncertified-seed"))
+    (_descending_order, {"spectral.interlacing_of_sections"}),
+), ids=("off-by-one-sweep", "uncertified-seed", "descending-order"))
 def test_spectral_verdicts_fail_for_wrong_eigenvalues(monkeypatch, mutate,
                                                       failing):
     from hermquant import tridiag
@@ -562,13 +600,13 @@ def test_kernel_checks_fail_for_a_conjugated_argument(monkeypatch):
 
 
 def test_infimum_check_fails_for_a_wrong_diagonal(monkeypatch):
-    from hermquant import physics
-
     name = "physics.quantized_square_infimum"
     assert {c.name: c for c in verify.suite_physics()}[name].passed
-    # n + 2s on the diagonal of A_{q^2}, which carries n + 2s + 1
-    monkeypatch.setattr(physics, "infimum_scan", _mutant(
-        physics, "infimum_scan", "(n + 2 * s + 1.0)", "(n + 2 * s + 0.0)"))
+    # n + 2s on the diagonal of A_{q^2}, which carries n + 2s + 1, in the
+    # direct route
+    monkeypatch.setattr(verify, "infimum_scan_direct", _mutant(
+        verify, "infimum_scan_direct", "(n + 2 * s + 1.0)",
+        "(n + 2 * s + 0.0)"))
     check = {c.name: c for c in verify.suite_physics()}[name]
     assert not check.passed and check.max_residual == pytest.approx(1.0)
 
