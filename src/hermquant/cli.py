@@ -6,6 +6,9 @@ export.  Each takes only the options it reads.  Data goes to stdout or --out
 stderr.  Exit codes: 0 success, 1 verification failure, 2 domain error
 (argparse's usage errors included), 3 I/O error.  Identical invocations
 (including verify's --seed) produce byte-identical output.
+
+Building the parser loads only the standard library and hermquant.errors;
+each handler imports numpy and the modules it runs when it runs.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import basis, matrices, physics, quantize, spectral, verify
 from .errors import HintViolation, NonConvergence, PoleError, TailError
-from .specfun import complex_hermite_exact
+
+# the --suite choices besides "all"; a test pins them to verify.SUITES
+SUITE_NAMES = ("basis", "ladder", "nlpb", "quantize", "spectral", "physics")
 
 
 def parse_complex(text: str) -> complex:
@@ -81,6 +83,8 @@ def _complex_row(z: complex) -> list:
 
 
 def _matrix_payload(op, args) -> str:
+    from . import matrices
+
     if args.format == "csv":
         rows = matrices.operator_csv_rows(op)
         return "\n".join(",".join(r) for r in rows) + "\n"
@@ -99,11 +103,15 @@ def _scalar_payload(value: complex, args, **meta) -> str:
 
 def cmd_poly(args) -> int:
     if args.which == "hermite":
+        from .specfun import complex_hermite_exact
+
         val = complex_hermite_exact(args.r, args.s,
                                     _complex_arg(args.z, "--z"))
         _emit(_scalar_payload(val, args, r=args.r, s=args.s), args)
         return 0
     if args.which == "assoc-hermite":
+        from . import spectral
+
         poly = spectral.assoc_hermite(_nonnegative(args.n, "--n"), args.s)
         coeffs = [str(c) for c in poly.coeffs]  # exact integers as strings
         if args.format == "csv":
@@ -118,6 +126,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    from . import basis
+
     if args.which == "phi":
         label = basis.BasisLabel(args.epsilon, args.n, args.s)
         val = basis.phi(label, _complex_arg(args.z, "--z"))
@@ -132,6 +142,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from . import basis
+
     kv = basis.kernel(args.s, _complex_arg(args.z, "--z"),
                       _complex_arg(args.zprime, "--zprime"), tol=args.tol)
     _emit(_scalar_payload(kv.value, args, truncation_n=kv.truncation_n,
@@ -140,6 +152,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    from . import quantize
+
     if args.method == "closed":
         op = quantize.quantize_monomial(args.a, args.b, args.s, args.epsilon,
                                         args.dim)
@@ -151,6 +165,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectral
+
     if args.which == "eigenvalues":
         ev = spectral.eigenvalues(args.dim, args.s)
         if args.format == "csv":
@@ -176,15 +192,17 @@ def cmd_spectrum(args) -> int:
     raise ValueError(f"unknown spectrum subcommand {args.which!r}")
 
 
-_SI_DEFAULTS = {"length": "compton", "mass": physics.ELECTRON_MASS_SI,
-                "omega": 3e15}
+# the si mode's units where unset; --mass defaults to the electron mass
+_SI_DEFAULTS = {"length": "compton", "omega": 3e15}
 
 
 def _physical_params(args) -> "physics.PhysicalParams":
     """The units of `physics hamiltonian`.  The dimensionless mode fixes
     every scale, so it reads none of --length, --mass and --omega."""
+    from . import physics
+
     if args.mode == "dimensionless":
-        for name in _SI_DEFAULTS:
+        for name in ("length", "mass", "omega"):
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name} {getattr(args, name)}: not read "
                                  f"under --mode dimensionless")
@@ -192,6 +210,8 @@ def _physical_params(args) -> "physics.PhysicalParams":
     for name, default in _SI_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+    if args.mass is None:
+        args.mass = physics.ELECTRON_MASS_SI
     mass, omega = _finite(args.mass, "--mass"), _finite(args.omega, "--omega")
     build = (physics.PhysicalParams.compton if args.length == "compton"
              else physics.PhysicalParams.oscillator)
@@ -207,7 +227,11 @@ def _mass_omega(args, compute):
 
 
 def cmd_physics(args) -> int:
+    from . import physics
+
     if args.which == "gamma":
+        if args.mass is None:
+            args.mass = physics.ELECTRON_MASS_SI
         mass = _finite(args.mass, "--mass")
         omega = _finite(args.omega, "--omega")
         g = _mass_omega(args, lambda: physics.gamma_ratio(
@@ -257,6 +281,8 @@ def cmd_physics(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     checks = verify.run(args.suite, seed=args.seed)
     for c in checks:
         status = "pass" if c.passed else "FAIL"
@@ -272,10 +298,14 @@ def cmd_export(args) -> int:
         _emit(_matrix_payload(op, args), args)
         return 0
     if args.object == "kernel-grid":
+        from . import basis
+
         zp = _complex_arg(args.zprime, "--zprime")
         return _emit_grid(args, lambda z: basis.kernel(
             args.s, z, zp, tol=args.tol).value, s=args.s, zprime=args.zprime)
     if args.object == "lower-symbol-scan":
+        from . import quantize
+
         op = _operator_by_name(args.operator, args.s, args.dim, args.epsilon)
         return _emit_grid(args, lambda z: quantize.lower_symbol(
             op, z, args.s, args.epsilon, tol=1e-9),
@@ -287,6 +317,8 @@ def _emit_grid(args, value, **meta) -> int:
     """value(x + iy) on the square grid of --grid-points points per side
     over [-extent, extent], as x,y,re,im rows; the JSON rows carry the same
     floats as the CSV text, whose .17g digits round-trip them."""
+    import numpy as np
+
     extent = _finite(args.extent, "--extent")
     pts = np.linspace(-extent, extent, args.grid_points).tolist()
     rows = [(x, y, complex(value(complex(x, y)))) for x in pts for y in pts]
@@ -302,23 +334,27 @@ def _emit_grid(args, value, **meta) -> int:
     return 0
 
 
+# operator name -> its matrices builder, looked up when the command runs,
+# so that building the parser loads no numpy
 _BUILDERS = {
-    "Q": matrices.build_Q,
-    "P": matrices.build_P,
-    "Az": matrices.build_A_z,
-    "Azbar": matrices.build_A_zbar,
-    "Aq2": matrices.build_Aq2,
-    "Ap2": matrices.build_Ap2,
-    "AH": matrices.build_AH,
-    "Hhat": matrices.build_Hhat,
+    "Q": "build_Q",
+    "P": "build_P",
+    "Az": "build_A_z",
+    "Azbar": "build_A_zbar",
+    "Aq2": "build_Aq2",
+    "Ap2": "build_Ap2",
+    "AH": "build_AH",
+    "Hhat": "build_Hhat",
 }
 
 
 def _operator_by_name(name: str, s: int, dim: int, epsilon: str):
+    from . import matrices
+
     if name not in _BUILDERS:
         raise ValueError(f"unknown operator {name!r}; "
                          f"choose from {sorted(_BUILDERS)}")
-    return _BUILDERS[name](s, dim, epsilon)
+    return getattr(matrices, _BUILDERS[name])(s, dim, epsilon)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("physics", help="dimensionful quantization reports")
     ps = p.add_subparsers(dest="which", required=True)
     pg = ps.add_parser("gamma")
-    pg.add_argument("--mass", type=float, default=physics.ELECTRON_MASS_SI)
+    pg.add_argument("--mass", type=float)  # unset: the electron mass
     pg.add_argument("--omega", type=float, required=True)
     common(pg)
     ph2 = ps.add_parser("hamiltonian")
     ph2.add_argument("--s", type=int, default=0)
     ph2.add_argument("--mode", choices=("si", "dimensionless"), default="si")
-    # unset here: the si mode fills in _SI_DEFAULTS, the dimensionless mode
-    # rejects them
+    # unset here: the si mode fills in _SI_DEFAULTS and the electron mass,
+    # the dimensionless mode rejects them
     ph2.add_argument("--length", choices=("compton", "oscillator"))
     ph2.add_argument("--mass", type=float)
     ph2.add_argument("--omega", type=float)
@@ -407,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
-                   choices=("all",) + tuple(verify.SUITES))
+                   choices=("all",) + SUITE_NAMES)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=20240901)
 

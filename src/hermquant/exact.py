@@ -56,6 +56,19 @@ def _split_square(d: int) -> tuple[int, int]:
     return k, rad
 
 
+def _root(d: int) -> float:
+    """sqrt(d) as a float.  A radicand beyond the float range takes its root
+    in integers: with m = isqrt(d), sqrt(d) is m or lies strictly between m
+    and m + 1.  m has over 500 bits, so no float and no rounding tie lies
+    strictly between m and m + 1, and m + 1/2 rounds once, as sqrt(d)
+    does."""
+    try:
+        return d ** 0.5
+    except OverflowError:
+        m = isqrt(d)
+        return float(m) if m * m == d else (2 * m + 1) / 2
+
+
 def _rational(q):
     """An exact rational as an int when it is integral, else as a Fraction."""
     if type(q) is int:
@@ -171,7 +184,7 @@ class SqrtSum:
         return bool(self.terms)
 
     def __float__(self):
-        return float(sum(float(q) * d ** 0.5 for d, q in self.terms.items()))
+        return float(sum(float(q) * _root(d) for d, q in self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

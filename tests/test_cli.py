@@ -15,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hermquant.basis import kernel_s1_closed
-from hermquant.cli import build_parser, main, parse_complex
+from hermquant.cli import (_BUILDERS, SUITE_NAMES, build_parser, main,
+                           parse_complex)
 from hermquant.matrices import build_Q
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -131,8 +132,6 @@ def test_poly_assoc_hermite_coefficients(capsys):
      "--mass 1e+300 --omega 1e+308: ell = 0.0"),
     (("physics", "hamiltonian", "--s", "1" + "0" * 320, "--dim", "3"),
      "--s 1000"),
-    (("physics", "hamiltonian", "--s", "1" + "0" * 200, "--dim", "3"),
-     "--s 1000"),
     (("physics", "hamiltonian", "--mode", "dimensionless", "--omega", "nan"),
      "--omega nan: not read under --mode dimensionless"),
     (("physics", "hamiltonian", "--mode", "dimensionless", "--mass", "2"),
@@ -155,7 +154,7 @@ def test_poly_assoc_hermite_coefficients(capsys):
         "hamiltonian-overflowing-length", "hamiltonian-underflowing-length",
         "hamiltonian-dim-2", "hamiltonian-underflowing-ell",
         "gamma-underflowing-ell", "hamiltonian-s-beyond-floats",
-        "hamiltonian-s-squares-beyond-floats", "dimensionless-omega",
+        "dimensionless-omega",
         "dimensionless-mass", "dimensionless-length"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
@@ -163,6 +162,15 @@ def test_domain_error_exit_code(capsys, argv, needle):
     assert err.startswith("error: ") and err.count("\n") == 1
     # the message names the offending argument
     assert needle in err
+
+
+def test_hamiltonian_radicands_beyond_the_floats(capsys):
+    # the entries of Q^2 at s = 1e200 carry radicands near 1e400, beyond the
+    # float range, while the levels themselves are floats
+    code, out, err = run_cli(capsys, "physics", "hamiltonian",
+                             "--s", "1" + "0" * 200, "--dim", "3")
+    assert code == 0, err
+    assert json.loads(out)["levels"][0] == 2.4561317330509864e+187
 
 
 def test_measure_weight_underflow_is_a_domain_error(capsys):
@@ -232,6 +240,46 @@ def test_verify_all_runs_clean_with_runtime_warnings_as_errors():
          "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def _loaded_modules(code: str) -> set:
+    """The numpy and hermquant modules a fresh interpreter holds after
+    running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys; print(json.dumps("
+         "[m for m in sys.modules "
+         "if m.partition('.')[0] in ('numpy', 'hermquant')]))"],
+        capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_parser_loads_no_numpy_and_no_compute_module():
+    got = _loaded_modules("import hermquant.cli as c; c.build_parser()")
+    assert got == {"hermquant", "hermquant.cli", "hermquant.errors"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "eigenvalues", "--s", "1", "--dim", "30"),
+    ("spectrum", "measure", "--s", "1", "--dim", "30"),
+    ("physics", "table", "--s-max", "2", "--dim", "10"),
+    ("export", "--object", "operator", "--operator", "Aq2", "--dim", "10"),
+    ("export", "--object", "kernel-grid", "--s", "3", "--grid-points", "3"),
+    ("export", "--object", "lower-symbol-scan", "--operator", "AH",
+     "--s", "1", "--grid-points", "3", "--dim", "64"),
+], ids=["eigenvalues", "measure", "table", "operator", "kernel-grid",
+        "lower-symbol-scan"])
+def test_benchmark_commands_load_no_verify_or_ladder(argv):
+    got = _loaded_modules("import hermquant.cli as c\n"
+                          f"assert c.main({list(argv)!r}) == 0")
+    assert "numpy" in got
+    assert not got & {"hermquant.verify", "hermquant.ladder"}, sorted(got)
+
+
+def test_suite_choices_are_the_verify_suites():
+    from hermquant import verify
+
+    assert SUITE_NAMES == tuple(verify.SUITES)
 
 
 def test_verify_all_reraises_a_suite_error_as_the_serial_run_does(
@@ -379,7 +427,8 @@ def test_physics_hamiltonian_modes(capsys):
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="needs the Linux per-thread /proc entries")
 def test_import_starts_no_blas_threads():
-    code = ("import os, hermquant.cli; "
+    # numpy loads after the package __init__, as in every command that runs
+    code = ("import os, hermquant.cli, numpy; "
             "print(len(os.listdir('/proc/self/task')), "
             "os.environ['OPENBLAS_NUM_THREADS'])")
     env = cli_env()
@@ -498,6 +547,50 @@ def test_removed_option_is_a_usage_error(capsys, base, flag):
     assert err.startswith("usage: hermquant")
     assert f"error: unrecognized arguments: {flag} {value}\n" in err
     assert "Traceback" not in err
+
+
+# every leaf command, every export object and every operator name once, so
+# that a handler which lost an import fails here and not in a user's run
+HANDLER_RUNS = [
+    ("poly", "hermite", "--r", "2", "--s", "1", "--z", "1+1i"),
+    ("poly", "assoc-hermite", "--n", "2", "--s", "1"),
+    ("basis", "phi", "--n", "1", "--s", "1", "--z", "0.5+0.1i"),
+    ("basis", "normalization", "--s", "1", "--t", "0.5"),
+    ("kernel", "--s", "1", "--z", "0.5", "--zprime", "0.1i"),
+    ("quantize", "--a", "1", "--b", "1", "--s", "1", "--dim", "3"),
+    ("quantize", "--a", "1", "--b", "1", "--s", "1", "--dim", "3",
+     "--method", "numeric"),
+    ("spectrum", "eigenvalues", "--s", "1", "--dim", "3"),
+    ("spectrum", "measure", "--s", "1", "--dim", "3"),
+    ("physics", "gamma", "--omega", "3e15"),
+    ("physics", "hamiltonian", "--dim", "3"),
+    ("physics", "hamiltonian", "--mode", "dimensionless", "--dim", "3"),
+    ("physics", "table", "--s-max", "1", "--dim", "3"),
+    ("verify", "--suite", "nlpb"),
+    ("export", "--object", "kernel-grid", "--s", "1", "--grid-points", "2"),
+    ("export", "--object", "lower-symbol-scan", "--operator", "Hhat",
+     "--s", "1", "--extent", "0.5", "--grid-points", "2", "--dim", "20"),
+] + [("export", "--object", "operator", "--operator", name, "--s", "1",
+      "--dim", "3") for name in _BUILDERS]
+
+
+def _leaf(argv) -> str:
+    return " ".join(w for w in argv[:2] if not w.startswith("-"))
+
+
+def test_handler_runs_cover_every_path():
+    assert {_leaf(a) for a in HANDLER_RUNS} == set(LEAF_OPTIONS)
+    export = dict(_leaf_parsers(build_parser()))["export"]
+    objects = next(a.choices for a in export._actions if a.dest == "object")
+    assert {a[2] for a in HANDLER_RUNS if a[0] == "export"} == set(objects)
+
+
+@pytest.mark.parametrize("argv", HANDLER_RUNS,
+                         ids=[" ".join(a) for a in HANDLER_RUNS])
+def test_every_handler_path_runs(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out
 
 
 def test_spectrum_table_is_no_export_object(capsys):

@@ -5,12 +5,13 @@ operation order as SqrtSum and ExactC, so the values must agree exactly and
 the float and complex conversions bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermquant.exact import ExactC, SqrtSum
+from hermquant.exact import ExactC, SqrtSum, _root
 from hermquant.ladder import ground, norm_squared
 
 
@@ -172,3 +173,17 @@ def test_norm_squared_is_a_fraction():
         assert type(norm_squared(vec)) is Fraction
     assert norm_squared({ground(1): SqrtSum.sqrt(2),
                          ground(3): SqrtSum.sqrt(7)}) == 9
+
+
+def test_float_of_a_radicand_beyond_the_float_range():
+    # 10**320 + 7 does not fit a float; its root does
+    assert float(SqrtSum.sqrt(10**320 + 7)) == 1e160
+    assert float(SqrtSum.sqrt(4**600)) == 2.0**600
+
+
+@given(st.integers(2**1024, 2**2040))
+def test_root_beyond_the_floats_is_correctly_rounded(d):
+    # the midpoints between x and its neighbours bracket sqrt(d), in integers
+    x = _root(d)
+    lo, hi = (int(math.nextafter(x, t)) for t in (0.0, math.inf))
+    assert (lo + int(x)) ** 2 <= 4 * d <= (int(x) + hi) ** 2
