@@ -11,8 +11,10 @@ real-valued relative ground state.  `phi_values` is their one table over n
 and z: magnitudes are assembled in log space so large |z| neither overflows
 nor underflows, and `phi`, `reproduce`, `gamma_like_pdf`, the coherent-state
 coefficients, the series of N_s and the quadrature path of `quantize` all
-read it.  Only the kernel series and the closed forms of N_s keep paths of
-their own.
+read it.  The closed forms of N_s build their Laguerre factors from the
+degree recurrence of `laguerre_many`, and they, the coherent states and the
+displacement elements take whole arrays of points; only the kernel series
+keeps a Laguerre path of its own.
 """
 
 from __future__ import annotations
@@ -100,38 +102,50 @@ def phi(label: BasisLabel, z):
     return val.conjugate() if label.epsilon == "R" else val
 
 
-def _check_sector_and_t(s: int, t: float) -> None:
-    """The domain of N_s(t): s >= 0 and t >= 0."""
+def _first_where(t, mask) -> float:
+    """The first element of t, in C order, where mask holds."""
+    return np.asarray(t, dtype=float)[mask].flat[0].item()
+
+
+def _check_sector_and_t(s: int, t) -> None:
+    """The domain of N_s(t): s >= 0 and t >= 0, for a scalar or array t."""
     if s < 0:
         raise ValueError(f"s = {s}: the sector label must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    negative = np.asarray(t) < 0
+    if np.any(negative):
+        raise ValueError(f"t must be nonnegative: t = {_first_where(t, negative)}")
 
 
-def _check_exp_range(t: float) -> None:
+def _check_exp_range(t) -> None:
     """N_s(t) is a float only while e^t is."""
-    if t > _LOG_FLOAT_MAX:
+    over = np.asarray(t) > _LOG_FLOAT_MAX
+    if np.any(over):
         raise OverflowError(
-            f"N_s(t) at t = {t} overflows a float: e^t exceeds "
-            f"{sys.float_info.max:.4g} beyond t = {_LOG_FLOAT_MAX:.2f}")
+            f"N_s(t) at t = {_first_where(t, over)} overflows a float: e^t "
+            f"exceeds {sys.float_info.max:.4g} beyond t = {_LOG_FLOAT_MAX:.2f}")
 
 
-def normalization(s: int, t: float) -> float:
+def normalization(s: int, t):
     """Coherent-state normalization N_s(t) in closed form:
 
         N_s(t) = e^t - sum_{m<s} (m!/s!) t^{s-m} (L_m^(s-m)(t))^2
 
-    with the subtracted sum taken from `normalization_deficit_log`.
+    with the subtracted sum taken from `normalization_deficit_log`; a float
+    for a scalar t, an array of t's shape for an array t.  e^t is math.exp's,
+    so N_0 = e^t and N_1 = e^t - t hold as Python computes e^t.
     """
     _check_sector_and_t(s, t)
     _check_exp_range(t)
-    return math.exp(t) - math.exp(normalization_deficit_log(s, t))
+    t = np.asarray(t, dtype=float)
+    exp_t = np.reshape([math.exp(v) for v in t.ravel().tolist()], t.shape)
+    out = exp_t - np.exp(normalization_deficit_log(s, t))
+    return out if out.ndim else float(out)
 
 
 def normalization_series(s: int, t: float, tol: float = 1e-14,
                          max_terms: int = 100_000):
     """N_s(t) summed from its defining series sum_n e^t |phi_{n;s}|^2 at
-    |z|^2 = t, that is sum_n (s!/(s+n)!) t^n L_s^(n)(t)^2.
+    |z|^2 = t, that is sum_n (s!/(s+n)!) t^n L_s^(n)(t)^2, at one t.
 
     The terms come from the phi table, one block of _SERIES_BLOCK n at a
     time.  Truncates once three consecutive terms drop below tol relative to
@@ -155,33 +169,36 @@ def normalization_series(s: int, t: float, tol: float = 1e-14,
     raise NonConvergence("normalization series did not settle")
 
 
-def normalization_deficit_log(s: int, t: float) -> float:
-    """log(e^t - N_s(t)), the log of the subtracted degree-(2s-1) polynomial.
+def normalization_deficit_log(s: int, t):
+    """log(e^t - N_s(t)), the log of the subtracted degree-(2s-1) polynomial,
+    for a scalar or array t: a float or an array of t's shape.
 
-    Finite iff the deficit is strictly positive, which is how the strict
+    Each term m of the sum is taken in log space from L_m^(s-m)(t) by the
+    degree recurrence of `laguerre_many`, and the terms are added in order of
+    m.  Finite iff the deficit is strictly positive, which is how the strict
     bound N_s(t) < e^t (s >= 1, t > 0) stays checkable after e^t - N_s drops
-    below float resolution of e^t.
+    below float resolution of e^t; -inf at s = 0 and at t = 0.
     """
     _check_sector_and_t(s, t)
-    terms = []
-    for m in range(s):
-        if t == 0.0:
-            continue
-        lag = laguerre(m, s - m, t)
-        if lag == 0.0:
-            continue
-        terms.append(log_factorial(m) - log_factorial(s)
-                     + (s - m) * math.log(t) + 2.0 * math.log(abs(lag)))
-    if not terms:
-        return -math.inf
-    top = max(terms)
-    return top + math.log(sum(math.exp(v - top) for v in terms))
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: t = 0 or a zero of L
+        log_t = np.log(t)
+        terms = [log_factorial(m) - log_factorial(s) + (s - m) * log_t
+                 + 2.0 * np.log(np.abs(laguerre_many(m, s - m, t)))
+                 for m in range(s)]
+        top = functools.reduce(np.maximum, terms, np.full(t.shape, -np.inf))
+        # where every term is -inf the sum below is 0 and its log -inf
+        top = np.where(top > -np.inf, top, 0.0)
+        total = sum((np.exp(v - top) for v in terms), np.zeros(t.shape))
+        out = top + np.log(total)
+    return out if out.ndim else float(out)
 
 
-def normalization_scaled(s: int, t: float) -> float:
+def normalization_scaled(s: int, t):
     """e^{-t} N_s(t) = 1 - e^{-t} (e^t - N_s(t)), stable for any t >= 0
-    (bounded in (0, 1])."""
-    return 1.0 - math.exp(normalization_deficit_log(s, t) - t)
+    (bounded in (0, 1]); a float for a scalar t, an array for an array t."""
+    out = 1.0 - np.exp(normalization_deficit_log(s, t) - np.asarray(t))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -267,12 +284,15 @@ def reproduce(s: int, z: complex, f, n_max: int, f_degree: float | None = None):
     return phase_space_integral(rule, (half * kern) * (half * f(zg)))
 
 
-def displacement_element(m: int, s: int, z: complex) -> complex:
+def displacement_element(m, s: int, z):
     """Matrix element <m|D(z)|s> of the Weyl-Heisenberg displacement operator,
-    for the implemented branch m >= s:  D_{ms}(z) = (-1)^s phi^R_{m-s;s}(z)."""
-    if m < s:
+    for the implemented branch m >= s:  D_{ms}(z) = (-1)^s phi^R_{m-s;s}(z).
+
+    m is an int or an int array, read from one phi table; the shape is
+    m.shape + z.shape, and a complex when both are scalars."""
+    if np.any(np.asarray(m) < s):
         raise IndexError("displacement_element implements the branch m >= s")
-    return (-1) ** s * phi(BasisLabel("R", m - s, s), z)
+    return (-1) ** s * phi_values(s, np.asarray(m) - s, z).conjugate()
 
 
 def gamma_like_pdf(n, s: int, t):
@@ -299,28 +319,32 @@ def poisson_like_pmf(n, s: int, t: float):
     return gamma_like_pdf(n, s, t) / normalization_scaled(s, t)
 
 
-def cs_coefficients(s: int, z: complex, dim: int, epsilon: str = "L",
+def cs_coefficients(s: int, z, dim: int, epsilon: str = "L",
                     tol: float = 1e-14) -> np.ndarray:
     """Coefficients of the unit coherent state |z; s, eps> in its number basis:
 
         c_n = (-1)^s sqrt(s!/(s+n)!) z^n L_s^(n)(|z|^2) / sqrt(N_s(|z|^2))
 
-    (conjugate phases for eps = 'R').  Raises TailError if dim terms capture
-    less than 1 - tol of the unit norm.
+    (conjugate phases for eps = 'R'), with shape (dim,) + z.shape for a
+    scalar or array z.  Raises TailError, naming the point that captures
+    the least (the first such in C order), if dim terms capture less than
+    1 - tol of the unit norm at any point.
     """
     if epsilon not in ("L", "R"):
         raise ValueError("epsilon must be 'L' or 'R'")
-    z = complex(z)
-    t = abs(z) ** 2
+    z = np.asarray(z, dtype=complex)
+    t = np.abs(z) ** 2
     ns = np.arange(dim)
     # |c_n| = |phi_{n;s}(z)| / sqrt(e^{-t} N_s(t))
     logmag, sign = _log_phi(s, ns, t)
-    logmag -= 0.5 * math.log(normalization_scaled(s, t))
-    theta = cmath.phase(z) * (1.0 if epsilon == "L" else -1.0)
+    logmag -= 0.5 * np.log(normalization_scaled(s, t))
+    theta = np.angle(z) * (1.0 if epsilon == "L" else -1.0)
+    ns = ns.reshape(ns.shape + (1,) * z.ndim)
     out = (-1) ** s * sign * np.exp(logmag) * np.exp(1j * ns * theta)
-    captured = float(np.sum(np.abs(out) ** 2))
-    if captured < 1.0 - tol:
+    captured = np.sum(np.abs(out) ** 2, axis=0)
+    if np.any(captured < 1.0 - tol):
+        worst = np.unravel_index(np.nanargmin(captured), captured.shape)
         raise TailError(
-            f"coherent-state tail: dim={dim} captures {captured:.17g} of the norm"
-        )
+            f"coherent-state tail: dim={dim} captures "
+            f"{captured[worst]:.17g} of the norm at z = {z[worst].item()}")
     return out

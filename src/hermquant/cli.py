@@ -301,27 +301,34 @@ def cmd_export(args) -> int:
         from . import basis
 
         zp = _complex_arg(args.zprime, "--zprime")
-        return _emit_grid(args, lambda z: basis.kernel(
-            args.s, z, zp, tol=args.tol).value, s=args.s, zprime=args.zprime)
+        return _emit_grid(args, lambda zs: [basis.kernel(
+            args.s, z, zp, tol=args.tol).value for z in zs.tolist()],
+            s=args.s, zprime=args.zprime)
     if args.object == "lower-symbol-scan":
         from . import quantize
 
         op = _operator_by_name(args.operator, args.s, args.dim, args.epsilon)
-        return _emit_grid(args, lambda z: quantize.lower_symbol(
-            op, z, args.s, args.epsilon, tol=1e-9),
+        return _emit_grid(args, lambda zs: quantize.lower_symbol(
+            op, zs, args.s, args.epsilon, tol=1e-9).tolist(),
             operator=args.operator, s=args.s)
     raise ValueError(f"unknown export object {args.object!r}")
 
 
-def _emit_grid(args, value, **meta) -> int:
-    """value(x + iy) on the square grid of --grid-points points per side
-    over [-extent, extent], as x,y,re,im rows; the JSON rows carry the same
-    floats as the CSV text, whose .17g digits round-trip them."""
+def _emit_grid(args, row_values, **meta) -> int:
+    """The values at x + iy on the square grid of --grid-points points per
+    side over [-extent, extent], as x,y,re,im rows.  row_values maps the
+    complex array of one grid row (one x, every y) to its list of values, and
+    is called once per row, so the values of one row at a time are held
+    while they are computed.  The JSON rows carry the same floats as the CSV
+    text, whose .17g digits round-trip them."""
     import numpy as np
 
     extent = _finite(args.extent, "--extent")
     pts = np.linspace(-extent, extent, args.grid_points).tolist()
-    rows = [(x, y, complex(value(complex(x, y)))) for x in pts for y in pts]
+    rows = []
+    for x in pts:
+        zs = np.array([complex(x, y) for y in pts])
+        rows += zip([x] * len(pts), pts, row_values(zs))
     if args.format == "json":
         body = [{"x": x, "y": y, "re": v.real, "im": v.imag}
                 for x, y, v in rows]

@@ -89,10 +89,12 @@ class TruncatedOperator:
 
 
 def band_matvec(bands: dict, c: np.ndarray) -> np.ndarray:
-    """Product of the band matrix with float diagonals `bands` and c."""
-    n = c.size
-    out = np.zeros(n, dtype=complex)
+    """Product of the band matrix with float diagonals `bands` and c, a
+    vector or an array whose columns along axis 0 are vectors."""
+    n = len(c)
+    out = np.zeros(c.shape, dtype=complex)
     for k, d in bands.items():
+        d = np.reshape(d, (-1,) + (1,) * (c.ndim - 1))
         if k >= 0:
             out[:n - k] += d * c[k:]
         else:

@@ -164,15 +164,17 @@ def quantize_numeric(f, s: int, epsilon: str, N: int,
     return TruncatedOperator(N, bands, 1 - N, N - 1, (epsilon, s))
 
 
-def lower_symbol(A: TruncatedOperator, z: complex, s: int,
-                 epsilon: str = "L", tol: float = 1e-12) -> complex:
-    """Expectation <z; s, eps| A |z; s, eps> in the coherent state at z.
+def lower_symbol(A: TruncatedOperator, z, s: int, epsilon: str = "L",
+                 tol: float = 1e-12):
+    """Expectation <z; s, eps| A |z; s, eps> in the coherent state at z: a
+    complex for a scalar z, an array of z's shape for an array z.
 
     The dimension of A must capture all but tol of the coherent-state norm
-    (else TailError).
+    at every z (else TailError).
     """
     c = cs_coefficients(s, z, A.dim, epsilon, tol)
-    return complex(np.vdot(c, band_matvec(A.bands, c)))
+    out = np.sum(c.conj() * band_matvec(A.bands, c), axis=0)
+    return out if out.ndim else complex(out)
 
 
 def _falling_product(base: float, count: int) -> float:

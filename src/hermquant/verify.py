@@ -33,15 +33,24 @@ QUAD_TOL = 1e-10
 REPRO_TOL = 1e-7
 
 
-def _hermite_member(s: int, n: int):
-    """e^{-|z|^2/2} h^{s+n,s}(z, zbar), a member of the L sector s, from the
-    double sum of h: evaluated on a whole grid, without the phi table."""
-    coeffs = complex_hermite_coeffs(s + n, s)
+def _hermite_members(s: int, ns, z) -> np.ndarray:
+    """e^{-|z|^2/2} h^{s+n,s}(z, zbar) for n in ns, members of the L sector
+    s, with shape ns.shape + z.shape: the double sum of h over tables of the
+    powers of z and zbar built once, evaluated without the phi table."""
+    ns, z = np.asarray(ns), np.asarray(z, dtype=complex)
+    zp = [np.ones_like(z)]
+    for _ in range(s + int(np.max(ns, initial=0))):
+        zp.append(zp[-1] * z)
+    zbp = np.conj(zp)
+    gauss = np.exp(-np.abs(z) ** 2 / 2.0)
+    return np.reshape([gauss * sum(c * zp[i] * zbp[j] for (i, j), c
+                                   in complex_hermite_coeffs(s + n, s).items())
+                       for n in ns.ravel().tolist()], ns.shape + z.shape)
 
-    def f(z):
-        return np.exp(-np.abs(z) ** 2 / 2.0) * sum(
-            c * z ** i * np.conj(z) ** j for (i, j), c in coeffs.items())
-    return f
+
+def _hermite_member(s: int, n: int):
+    """The member n of `_hermite_members` as a function of z."""
+    return partial(_hermite_members, s, n)
 
 
 def _family_gram(s: int, n_max: int, family) -> np.ndarray:
@@ -60,8 +69,7 @@ def _family_gram(s: int, n_max: int, family) -> np.ndarray:
 def hermite_orthogonality_residual(s: int, n_max: int) -> float:
     """Worst normalized residual of the Gram matrix of h^{s+n,s} against
     diag(s!(s+n)!), integrated by the exact polar rule."""
-    gram = _family_gram(s, n_max, lambda ns, z: np.array(
-        [_hermite_member(s, n)(z) for n in ns]))
+    gram = _family_gram(s, n_max, partial(_hermite_members, s))
     norms = np.array([float(math.factorial(s) * math.factorial(s + n))
                       for n in range(n_max + 1)])
     scale = np.sqrt(np.outer(norms, norms))
@@ -120,17 +128,18 @@ def suite_basis(seed: int = 20240901) -> list:
             for z, s, n, wit in hermite_draws())))
 
     closed_vs_series, below_exp = [], []
+    ts = np.linspace(0.5, 50.0, 25)
     for s in range(7):
-        for t in np.linspace(0.5, 50.0, 25).tolist():
+        closed = normalization(s, ts).tolist()
+        deficit = basis.normalization_deficit_log(s, ts).tolist()
+        for t, n_s, d in zip(ts.tolist(), closed, deficit):
             wit = f"s={s} t={t:.4g}"
-            closed = normalization(s, t)
             series, _ = normalization_series(s, t)
-            closed_vs_series.append((abs(closed - series) / abs(series), wit))
+            closed_vs_series.append((abs(n_s - series) / abs(series), wit))
             if s >= 1:
                 # strict upper bound checked through the subtracted polynomial,
                 # which stays resolvable after e^t - N_s saturates in floats
-                ok = (0.0 < closed <= math.exp(t)
-                      and basis.normalization_deficit_log(s, t) > -math.inf)
+                ok = 0.0 < n_s <= math.exp(t) and d > -math.inf
                 below_exp.append((float(not ok), wit))
     checks.append(worst_case("basis.normalization_closed_vs_series", 1e-10,
                              closed_vs_series))
@@ -183,9 +192,8 @@ def suite_basis(seed: int = 20240901) -> list:
     for s in range(4):
         for zv in (0.6 + 0.2j, 1.5 - 1.0j):
             wit = f"s={s} z={zv}"
-            partials = np.cumsum(
-                [abs(basis.displacement_element(m, s, zv)) ** 2
-                 for m in range(s, s + 80)])
+            partials = np.cumsum(np.abs(basis.displacement_element(
+                np.arange(s, s + 80), s, zv)) ** 2)
             tails.append((abs(partials[-1]
                               - basis.normalization_scaled(s, abs(zv) ** 2)),
                           wit))
@@ -264,21 +272,20 @@ def suite_quantize(seed: int = 20240902) -> list:
 
     rng = np.random.default_rng(seed)
     ah = matrices.build_AH(0, 80)
+    zs = [_point(rng) for _ in range(6)]
     checks.append(worst_case("quantize.lower_symbol_of_energy", QUAD_TOL, (
-        (abs(quantize.lower_symbol(ah, z, 0) - (abs(z) ** 2 + 1.0)),
-         f"z={z:.3f}") for z in [_point(rng) for _ in range(6)])))
+        (abs(v - (abs(z) ** 2 + 1.0)), f"z={z:.3f}")
+        for z, v in zip(zs, quantize.lower_symbol(ah, np.array(zs), 0)
+                        .tolist()))))
 
     aq2 = matrices.build_Aq2(2, 90)
-
-    def negative_part(z):
-        val = quantize.lower_symbol(aq2, z, 2).real
-        # phrased so that a NaN symbol fails
-        return 0.0 if val >= 0.0 else -val
-
+    zs = [_point(rng) for _ in range(6)]
+    # phrased so that a NaN symbol fails
     checks.append(worst_case(
         "quantize.lower_symbol_nonnegative_for_psd", 0.0, (
-            (negative_part(z), f"z={z:.3f}")
-            for z in [_point(rng) for _ in range(6)])))
+            (0.0 if v.real >= 0.0 else -v.real, f"z={z:.3f}")
+            for z, v in zip(zs, quantize.lower_symbol(aq2, np.array(zs), 2)
+                            .tolist()))))
 
     def route_spread(lam, al, be, r, s):
         vals = []
@@ -362,9 +369,10 @@ def infimum_scan_direct(s: int, z: complex = 1.0 + 0.0j,
     coherent states z/sqrt(sigma), each expectation value a banded sum.
 
     The two sums reach about 1e4 at sigma = 1e-4, where their difference
-    keeps up to 2e-11 of cancellation noise.  Each is the math.fsum of its
-    element-wise products, correctly rounded in any order, so the samples do
-    not depend on the BLAS thread count.  Returns (extrapolated, samples).
+    keeps up to 2e-11 of cancellation noise.  Each is the np.sum of its
+    element-wise products: pairwise, without BLAS, so the samples are the
+    same on every run whatever the BLAS thread count.  Returns
+    (extrapolated, samples).
     """
     samples = []
     for sigma in sigmas:
@@ -375,14 +383,13 @@ def infimum_scan_direct(s: int, z: complex = 1.0 + 0.0j,
         n = np.arange(dim, dtype=float)
         # <A_{q^2}>: diagonal n + 2s + 1 plus the double-shift band
         off2 = np.sqrt((n[:-2] + s + 1.0) * (n[:-2] + s + 2.0)) / 2.0
-        val_a = math.fsum(((n + 2 * s + 1.0) * np.abs(c) ** 2).tolist())
-        val_a += 2.0 * math.fsum(
-            np.real(off2 * np.conj(c[:-2]) * c[2:]).tolist())
+        val_a = np.sum((n + 2 * s + 1.0) * np.abs(c) ** 2)
+        val_a += 2.0 * np.sum(np.real(off2 * np.conj(c[:-2]) * c[2:]))
         # <Q^2> = ||Q c||^2 with the tridiagonal position matrix
         cpl = np.sqrt((n[:-1] + s + 1.0) / 2.0)
         qc = matrices.band_matvec({1: cpl, -1: cpl}, c)
-        val_q = math.fsum((qc.view(float) ** 2).tolist())
-        samples.append(val_a - val_q)
+        val_q = np.sum(qc.view(float) ** 2)
+        samples.append(float(val_a - val_q))
     return physics.aitken_extrapolate(samples), samples
 
 

@@ -152,6 +152,88 @@ def test_normalization_rejects_negative_arguments(fn):
         fn(2, -0.5)
 
 
+def _deficit_log_finite_sum(s: int, t: float) -> float:
+    """log(e^t - N_s(t)) as the scalar finite sum over m < s with the
+    scalar `laguerre` (its coefficient sum up to degree 6): the reference
+    for the array forms."""
+    terms = [log_factorial(m) - log_factorial(s) + (s - m) * math.log(t)
+             + 2.0 * math.log(abs(laguerre(m, s - m, t)))
+             for m in range(s) if t > 0.0 and laguerre(m, s - m, t) != 0.0]
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(sum(math.exp(v - top) for v in terms))
+
+
+def test_array_normalization_matches_the_scalar_finite_sum():
+    # up to s = 10: at s = 11 the finite sum itself is off by 1.5e-14
+    # (against mpmath at t = 14.5), the recurrence by 3e-15
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 700.0, 60)])
+    for s in range(11):
+        closed = normalization(s, ts)
+        scaled = normalization_scaled(s, ts)
+        assert closed.shape == scaled.shape == ts.shape
+        for t, got, got_scaled in zip(ts.tolist(), closed.tolist(),
+                                      scaled.tolist()):
+            deficit = _deficit_log_finite_sum(s, t)
+            want = math.exp(t) - math.exp(deficit)
+            assert abs(got - want) <= 1e-14 * want, (s, t)
+            want_scaled = 1.0 - math.exp(deficit - t)
+            assert abs(got_scaled - want_scaled) <= 1e-14 * want_scaled
+            # each element of the array is the scalar call's float
+            assert normalization(s, t) == got
+            assert isinstance(normalization(s, t), float)
+
+
+def test_array_normalization_edge_cases():
+    ts = np.array([[0.0, 1.5], [0.0, 30.0]])
+    assert np.all(normalization_deficit_log(0, ts) == -math.inf)
+    assert np.array_equal(normalization(0, ts), np.exp(ts))
+    deficit = normalization_deficit_log(3, ts)
+    assert deficit[0, 0] == deficit[1, 0] == -math.inf
+    assert np.all(np.isfinite(deficit[:, 1]))
+    assert normalization(3, ts)[0, 0] == normalization_scaled(3, ts)[1, 0] \
+        == 1.0
+    assert normalization_deficit_log(0, 0.0) == -math.inf
+    with pytest.raises(OverflowError, match="t = 720.5"):
+        normalization(2, np.array([1.0, 720.5, 800.0]))
+    for fn in (normalization, normalization_scaled,
+               normalization_deficit_log):
+        with pytest.raises(ValueError, match="t = -0.5"):
+            fn(2, np.array([1.0, -0.5]))
+    # the scaled form and the deficit need no e^t: finite past the overflow
+    assert normalization_scaled(2, np.array([720.5]))[0] == 1.0
+
+
+def test_normalization_at_laguerre_zeros_matches_mpmath():
+    # N_6(t) where one factor L_m^(6-m) of its deficit vanishes, for every
+    # zero of every factor: the float nearest the zero and its neighbours
+    mpmath = pytest.importorskip("mpmath")
+    s = 6
+    worst = 0.0
+    with mpmath.workdps(30):
+        for m in range(1, s):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator
+                      for c in reversed(laguerre_coeffs(m, s - m))]
+            for root in mpmath.polyroots(coeffs, maxsteps=200, extraprec=60):
+                t0 = float(mpmath.re(root))
+                ts = np.array([np.nextafter(t0, 0.0), t0,
+                               np.nextafter(t0, math.inf)])
+                got = normalization(s, ts)
+                for t, g in zip(ts.tolist(), got.tolist()):
+                    x = mpmath.mpf(t)
+                    # mpmath.laguerre does not settle at its own zeros
+                    want = mpmath.exp(x) - mpmath.fsum(
+                        mpmath.factorial(k) / mpmath.factorial(s)
+                        * x ** (s - k) * mpmath.polyval(
+                            [mpmath.mpf(c.numerator) / c.denominator
+                             for c in reversed(laguerre_coeffs(k, s - k))],
+                            x) ** 2
+                        for k in range(s))
+                    worst = max(worst, float(abs(g - want) / want))
+    assert worst <= 1e-13, worst
+
+
 def test_normalization_scaled_matches_deficit():
     for s in range(5):
         for t in (0.5, 3.0, 20.0):
@@ -411,6 +493,37 @@ def test_cs_coefficients_unit_norm(rng):
 def test_cs_coefficients_tail_error():
     with pytest.raises(TailError):
         cs_coefficients(0, 3.0 + 0.0j, 5)
+
+
+def test_cs_coefficients_of_an_array_are_the_scalar_vectors():
+    zs = np.array([[0.0, 0.6 - 0.2j, -1.5 + 1.0j],
+                   [2.0j, -0.3, 1.1 + 1.1j]])
+    for s in range(4):
+        for eps in ("L", "R"):
+            table = cs_coefficients(s, zs, 60, eps)
+            assert table.shape == (60,) + zs.shape
+            for idx in np.ndindex(zs.shape):
+                scalar = cs_coefficients(s, complex(zs[idx]), 60, eps)
+                assert np.array_equal(table[(slice(None),) + idx], scalar)
+
+
+def test_cs_coefficients_tail_error_names_the_worst_point():
+    zs = np.array([1.0, -3.0, 2.5j, 3.0j, 0.5])
+    with pytest.raises(TailError, match=r"z = \(-3\+0j\)"):
+        cs_coefficients(0, zs, 8)
+
+
+def test_displacement_elements_of_an_array_are_the_scalar_values():
+    for s in range(4):
+        for z in (0.6 + 0.2j, 1.5 - 1.0j, 0.0):
+            ms = np.arange(s, s + 80)
+            table = displacement_element(ms, s, z)
+            assert table.shape == ms.shape
+            for m, value in zip(ms.tolist(), table.tolist()):
+                scalar = displacement_element(m, s, z)
+                assert type(scalar) is complex and scalar == value
+    with pytest.raises(IndexError):
+        displacement_element(np.arange(1, 5), 2, 0.5)
 
 
 def test_cs_coefficients_sector_phases():

@@ -373,6 +373,49 @@ def test_grid_export_json_rows_equal_csv_rows(capsys, argv):
                 == [repr(row[k]) for k in ("x", "y", "re", "im")])
 
 
+def test_lower_symbol_grid_exits_2_naming_its_worst_point(capsys):
+    # |z| is largest at the corners; the first corner written, (-3, -3),
+    # is named of the four that tie
+    code, out, err = run_cli(capsys, "export", "--object",
+                             "lower-symbol-scan", "--operator", "AH",
+                             "--s", "1", "--dim", "8", "--extent", "3",
+                             "--grid-points", "5", "--format", "csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: coherent-state tail: dim=8 captures ")
+    assert err.endswith(" of the norm at z = (-3-3j)\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc/self/status")
+def test_lower_symbol_scan_memory_stays_flat(tmp_path):
+    # a 41 x 41 scan at --dim 64 computes one grid row at a time: the
+    # process's peak resident set grows by at most 2 MB past its imports
+    # (about 8 MB when the whole grid's coefficients are held at once)
+    code = f"""
+import numpy, hermquant.cli as cli, hermquant.quantize, hermquant.matrices
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+before = peak_kb()
+code = cli.main(["export", "--object", "lower-symbol-scan", "--operator",
+                 "Aq2", "--s", "1", "--dim", "64", "--extent", "2",
+                 "--grid-points", "41", "--format", "csv",
+                 "--out", {str(tmp_path / "scan.csv")!r}])
+print(code, peak_kb() - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, grown_kb = map(int, proc.stdout.split())
+    assert exit_code == 0
+    assert len((tmp_path / "scan.csv").read_text().splitlines()) == 1 + 41 * 41
+    assert grown_kb <= 2048, grown_kb
+
+
 def test_byte_identical_reruns(capsys):
     args = ("spectrum", "measure", "--s", "1", "--dim", "12", "--format", "csv")
     _, out1, _ = run_cli(capsys, *args)

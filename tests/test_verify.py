@@ -141,14 +141,27 @@ def test_one_nan_case_fails_the_check(nan_injected_checks, name):
 
 def _nan_where(monkeypatch, module, name: str, nan, when) -> list:
     """Patch module.name to return nan on the calls whose arguments satisfy
-    when(*args); returns the list of those arguments, filled as they come."""
+    when(*args).  A call with an array argument, for which module.name
+    returns one value per element, gets nan at the elements whose arguments,
+    the array replaced by the element, satisfy it.  Returns the list of
+    those arguments, filled as they come, in C order within a call."""
     fn, hits = getattr(module, name), []
 
     def patched(*args, **kwargs):
-        if when(*args):
-            hits.append(args)
-            return nan
-        return fn(*args, **kwargs)
+        k = next((i for i, a in enumerate(args)
+                  if isinstance(a, np.ndarray)), None)
+        if k is None:
+            if when(*args):
+                hits.append(args)
+                return nan
+            return fn(*args, **kwargs)
+        out = np.array(fn(*args, **kwargs))
+        for idx in np.ndindex(out.shape):
+            each = args[:k] + (args[k][idx].item(),) + args[k + 1:]
+            if when(*each):
+                hits.append(each)
+                out[idx] = nan
+        return out
 
     monkeypatch.setattr(module, name, patched)
     return hits
@@ -160,13 +173,16 @@ def test_basis_checks_fail_for_nan_values(monkeypatch):
     names = ("basis.normalization_closed_vs_series",
              "basis.displacement_monotonicity")
     assert all(_basis_check(n).passed for n in names)
-    _nan_where(monkeypatch, verify, "normalization", math.nan,
-               lambda s, t: s == 3 and t > 20)
+    closed_hits = _nan_where(monkeypatch, verify, "normalization", math.nan,
+                             lambda s, t: s == 3 and t > 20)
     # a NaN term leaves every partial sum after it NaN, and no comparison
     # of the partial sums with each other or with one is true
-    _nan_where(monkeypatch, basis, "displacement_element", math.nan,
-               lambda m, s, z: s == 1 and m == 40)
+    element_hits = _nan_where(monkeypatch, basis, "displacement_element",
+                              math.nan, lambda m, s, z: s == 1 and m == 40)
     checks = {c.name: c for c in verify.suite_basis(seed=5)}
+    assert [t for _, t in closed_hits] == [
+        t for t in np.linspace(0.5, 50.0, 25).tolist() if t > 20]
+    assert element_hits == [(40, 1, 0.6 + 0.2j), (40, 1, 1.5 - 1.0j)]
     assert [checks[n].witness for n in names] == ["s=3 t=50",
                                                   "s=1 z=(1.5-1j)"]
     assert not any(checks[n].passed for n in names)
@@ -189,6 +205,7 @@ def test_lower_symbol_checks_fail_for_a_nan_symbol(monkeypatch):
     hits = _nan_where(monkeypatch, quantize, "lower_symbol",
                       complex(math.nan, 0.0), third_point)
     checks = {c.name: c for c in verify.suite_quantize()}
+    assert [s for _, _, s in hits] == [0, 2]
     assert [checks[n].witness for n in names] == [
         f"z={args[1]:.3f}" for args in hits]
     assert not any(checks[n].passed for n in names)
@@ -328,11 +345,12 @@ def test_normalization_check_fails_for_a_wrong_factorial_ratio(monkeypatch):
     name = "basis.normalization_closed_vs_series"
     assert _basis_check(name).passed
 
-    def wrong(s, t):
+    def wrong(s, ts):
         # m!/(s+1)! where the closed form carries m!/s!
-        return math.exp(t) - sum(
+        return np.array([math.exp(t) - sum(
             math.factorial(m) / math.factorial(s + 1)
             * t ** (s - m) * laguerre(m, s - m, t) ** 2 for m in range(s))
+            for t in ts.tolist()])
 
     monkeypatch.setattr(verify, "normalization", wrong)
     check = _basis_check(name)
