@@ -113,7 +113,8 @@ def _check_sector_and_t(s: int, t) -> None:
         raise ValueError(f"s = {s}: the sector label must be nonnegative")
     negative = np.asarray(t) < 0
     if np.any(negative):
-        raise ValueError(f"t must be nonnegative: t = {_first_where(t, negative)}")
+        raise ValueError(
+            f"t must be nonnegative: t = {_first_where(t, negative)}")
 
 
 def _check_exp_range(t) -> None:
@@ -122,7 +123,8 @@ def _check_exp_range(t) -> None:
     if np.any(over):
         raise OverflowError(
             f"N_s(t) at t = {_first_where(t, over)} overflows a float: e^t "
-            f"exceeds {sys.float_info.max:.4g} beyond t = {_LOG_FLOAT_MAX:.2f}")
+            f"exceeds {sys.float_info.max:.4g} beyond "
+            f"t = {_LOG_FLOAT_MAX:.2f}")
 
 
 def normalization(s: int, t):
@@ -142,31 +144,45 @@ def normalization(s: int, t):
     return out if out.ndim else float(out)
 
 
-def normalization_series(s: int, t: float, tol: float = 1e-14,
+def normalization_series(s: int, t, tol: float = 1e-14,
                          max_terms: int = 100_000):
     """N_s(t) summed from its defining series sum_n e^t |phi_{n;s}|^2 at
-    |z|^2 = t, that is sum_n (s!/(s+n)!) t^n L_s^(n)(t)^2, at one t.
+    |z|^2 = t, that is sum_n (s!/(s+n)!) t^n L_s^(n)(t)^2, for a scalar or
+    array t.
 
     The terms come from the phi table, one block of _SERIES_BLOCK n at a
-    time.  Truncates once three consecutive terms drop below tol relative to
-    the partial sum; returns (value, terms_used).
+    time over the points still summing, and each point adds its terms in
+    order of n.  A point's sum stops once three consecutive terms drop below
+    tol relative to the partial sum.  Returns (value, terms_used): a float
+    and an int for a scalar t, arrays of t's shape for an array t.
     """
     _check_sector_and_t(s, t)
     _check_exp_range(t)
-    total = 0.0
-    small = 0
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    total = np.zeros(flat.shape)
+    used = np.zeros(flat.shape, dtype=int)  # 0 while a point is summing
+    small = np.zeros((2,) + flat.shape, dtype=bool)  # its last two terms
     for start in range(0, max_terms, _SERIES_BLOCK):
+        live = np.flatnonzero(used == 0)
+        if not live.size:
+            break
         ns = np.arange(start, min(start + _SERIES_BLOCK, max_terms))
-        terms = np.exp(2.0 * _log_phi(s, ns, t)[0] + t)
-        for n, term in zip(ns.tolist(), terms.tolist()):
-            total += term
-            if term <= tol * max(total, 1.0):
-                small += 1
-                if small >= 3:
-                    return total, n + 1
-            else:
-                small = 0
-    raise NonConvergence("normalization series did not settle")
+        terms = np.exp(2.0 * _log_phi(s, ns, flat[live])[0] + flat[live])
+        partial = np.cumsum(np.vstack([total[live], terms]), axis=0)[1:]
+        runs = np.vstack([small[:, live],
+                          terms <= tol * np.maximum(partial, 1.0)])
+        settled = runs[2:] & runs[1:-1] & runs[:-2]
+        first, cols = np.argmax(settled, axis=0), np.arange(live.size)
+        done = settled[first, cols]
+        used[live[done]] = start + first[done] + 1
+        total[live] = np.where(done, partial[first, cols], partial[-1])
+        small[:, live] = runs[-2:]
+    if np.any(used == 0):
+        raise NonConvergence("normalization series did not settle")
+    if t.ndim:
+        return total.reshape(t.shape), used.reshape(t.shape)
+    return float(total[0]), int(used[0])
 
 
 def normalization_deficit_log(s: int, t):

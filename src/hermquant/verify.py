@@ -48,11 +48,6 @@ def _hermite_members(s: int, ns, z) -> np.ndarray:
                        for n in ns.ravel().tolist()], ns.shape + z.shape)
 
 
-def _hermite_member(s: int, n: int):
-    """The member n of `_hermite_members` as a function of z."""
-    return partial(_hermite_members, s, n)
-
-
 def _family_gram(s: int, n_max: int, family) -> np.ndarray:
     """Gram matrix of the functions family(ns, z)[n], n <= n_max, each a
     polynomial times e^{-|z|^2/2}, integrated by a polar rule exact for every
@@ -132,10 +127,10 @@ def suite_basis(seed: int = 20240901) -> list:
     for s in range(7):
         closed = normalization(s, ts).tolist()
         deficit = basis.normalization_deficit_log(s, ts).tolist()
-        for t, n_s, d in zip(ts.tolist(), closed, deficit):
+        series = normalization_series(s, ts)[0].tolist()
+        for t, n_s, d, ser in zip(ts.tolist(), closed, deficit, series):
             wit = f"s={s} t={t:.4g}"
-            series, _ = normalization_series(s, t)
-            closed_vs_series.append((abs(n_s - series) / abs(series), wit))
+            closed_vs_series.append((abs(n_s - ser) / abs(ser), wit))
             if s >= 1:
                 # strict upper bound checked through the subtracted polynomial,
                 # which stays resolvable after e^t - N_s saturates in floats
@@ -161,15 +156,15 @@ def suite_basis(seed: int = 20240901) -> list:
 
     # members in the double-sum form of h, which does not read the phi
     # table that the kernel is built from
-    members = [(_hermite_member(s, 0), s, 4, 0.7 + 0.3j, f"s={s}")
-               for s in (0, 1, 2)]
-    f = _hermite_member(1, 3)
+    members = [(partial(_hermite_members, s, 0), s, 4, 0.7 + 0.3j,
+                f"s={s}") for s in (0, 1, 2)]
+    f = partial(_hermite_members, 1, 3)
     members += [(f, 1, 5, _point(rng, 1.5), "s=1 n=3") for _ in range(5)]
     checks.append(worst_case("basis.kernel_reproduces_members", REPRO_TOL, (
         (abs(reproduce(s, z, f, n_max=n_max) - f(z)), f"{wit} z={z:.3f}")
         for f, s, n_max, z, wit in members)))
-    cross = reproduce(1, 0.4 + 0.2j, _hermite_member(3, 2), n_max=4,
-                      f_degree=1 + 3)
+    cross = reproduce(1, 0.4 + 0.2j, partial(_hermite_members, 3, 2),
+                      n_max=4, f_degree=1 + 3)
     checks.append(worst_case("basis.kernel_annihilates_other_sectors",
                              REPRO_TOL, [(abs(cross), "s=3 into s=1")]))
 

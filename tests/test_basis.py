@@ -13,7 +13,7 @@ from hermquant.basis import (BasisLabel, cs_coefficients,
                              normalization_deficit_log, normalization_scaled,
                              normalization_series, phi, phi_values,
                              poisson_like_pmf, reproduce)
-from hermquant import specfun
+from hermquant import basis, specfun
 from hermquant.errors import NonConvergence, TailError
 from hermquant.quadrature import gauss_laguerre_rule
 from hermquant.specfun import laguerre, laguerre_coeffs, log_factorial
@@ -185,6 +185,32 @@ def test_array_normalization_matches_the_scalar_finite_sum():
             assert isinstance(normalization(s, t), float)
 
 
+def _series_loop(s: int, t: float, tol: float = 1e-14) -> tuple:
+    """N_s(t) from its series, term by term in a Python loop over blocks of
+    the phi table: the reference for the array form of the series."""
+    total, small = 0.0, 0
+    for start in range(0, 100_000, 64):
+        ns = np.arange(start, start + 64)
+        terms = np.exp(2.0 * basis._log_phi(s, ns, t)[0] + t)
+        for n, term in zip(ns.tolist(), terms.tolist()):
+            total += term
+            small = small + 1 if term <= tol * max(total, 1.0) else 0
+            if small >= 3:
+                return total, n + 1
+    raise AssertionError("the reference series did not settle")
+
+
+def test_array_normalization_series_equals_the_term_loop():
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 700.0, 30),
+                         np.linspace(0.5, 50.0, 25)]).reshape(2, -1)
+    for s in range(13):
+        values, used = normalization_series(s, ts)
+        assert values.shape == used.shape == ts.shape
+        for t, v, n in zip(ts.ravel().tolist(), values.ravel().tolist(),
+                           used.ravel().tolist()):
+            assert (v, n) == _series_loop(s, t) == normalization_series(s, t)
+
+
 def test_array_normalization_edge_cases():
     ts = np.array([[0.0, 1.5], [0.0, 30.0]])
     assert np.all(normalization_deficit_log(0, ts) == -math.inf)
@@ -195,10 +221,11 @@ def test_array_normalization_edge_cases():
     assert normalization(3, ts)[0, 0] == normalization_scaled(3, ts)[1, 0] \
         == 1.0
     assert normalization_deficit_log(0, 0.0) == -math.inf
-    with pytest.raises(OverflowError, match="t = 720.5"):
-        normalization(2, np.array([1.0, 720.5, 800.0]))
+    for fn in (normalization, normalization_series):
+        with pytest.raises(OverflowError, match="t = 720.5"):
+            fn(2, np.array([1.0, 720.5, 800.0]))
     for fn in (normalization, normalization_scaled,
-               normalization_deficit_log):
+               normalization_deficit_log, normalization_series):
         with pytest.raises(ValueError, match="t = -0.5"):
             fn(2, np.array([1.0, -0.5]))
     # the scaled form and the deficit need no e^t: finite past the overflow
@@ -471,8 +498,8 @@ def test_radial_series_build_no_laguerre_coefficients(monkeypatch):
         for t in (0.5, 10.0):
             builds.clear()
             poisson_like_pmf(np.arange(250), s, t)
-            # only N_s(t), from its s closed-form terms
-            assert len(builds) <= s
+            # N_s(t) too takes its factors from the degree recurrence
+            assert builds == []
 
 
 @settings(max_examples=40)
