@@ -108,9 +108,13 @@ def _first_where(t, mask) -> float:
 
 
 def _check_sector_and_t(s: int, t) -> None:
-    """The domain of N_s(t): s >= 0 and t >= 0, for a scalar or array t."""
+    """The domain of N_s(t): s >= 0 and finite t >= 0, for a scalar or array
+    t."""
     if s < 0:
         raise ValueError(f"s = {s}: the sector label must be nonnegative")
+    nonfinite = ~np.isfinite(t)
+    if np.any(nonfinite):
+        raise ValueError(f"t must be finite: t = {_first_where(t, nonfinite)}")
     negative = np.asarray(t) < 0
     if np.any(negative):
         raise ValueError(
@@ -349,7 +353,12 @@ def cs_coefficients(s: int, z, dim: int, epsilon: str = "L",
     if epsilon not in ("L", "R"):
         raise ValueError("epsilon must be 'L' or 'R'")
     z = np.asarray(z, dtype=complex)
-    t = np.abs(z) ** 2
+    with np.errstate(over="ignore"):
+        t = np.abs(z) ** 2
+    nonfinite = ~np.isfinite(t)
+    if np.any(nonfinite):
+        raise ValueError(f"z must be finite with |z|^2 a float: "
+                         f"z = {z[nonfinite].flat[0]}")
     ns = np.arange(dim)
     # |c_n| = |phi_{n;s}(z)| / sqrt(e^{-t} N_s(t))
     logmag, sign = _log_phi(s, ns, t)

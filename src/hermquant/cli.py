@@ -141,11 +141,27 @@ def cmd_basis(args) -> int:
     raise ValueError(f"unknown basis subcommand {args.which!r}")
 
 
+def _square_modulus(z: complex, named: str) -> None:
+    """The kernel and the coherent states read |z|^2, which must be a
+    float."""
+    try:
+        abs(z) ** 2
+    except OverflowError:
+        raise ValueError(f"{named}: |z|^2 overflows a float") from None
+
+
+def _kernel_arg(text: str, flag: str) -> complex:
+    """_complex_arg for a point of the kernel, whose |z|^2 must be a float."""
+    z = _complex_arg(text, flag)
+    _square_modulus(z, f"{flag} {text}")
+    return z
+
+
 def cmd_kernel(args) -> int:
     from . import basis
 
-    kv = basis.kernel(args.s, _complex_arg(args.z, "--z"),
-                      _complex_arg(args.zprime, "--zprime"), tol=args.tol)
+    kv = basis.kernel(args.s, _kernel_arg(args.z, "--z"),
+                      _kernel_arg(args.zprime, "--zprime"), tol=args.tol)
     _emit(_scalar_payload(kv.value, args, truncation_n=kv.truncation_n,
                           est_tail=kv.est_tail), args)
     return 0
@@ -292,7 +308,34 @@ def cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+# the options each export object reads besides --s, --format and --out, with
+# their defaults; the parser leaves them unset, so an option given to an
+# object that does not read it is a domain error that names both
+_EXPORT_OPTIONS = {
+    "operator": {"operator": "Q", "epsilon": "L", "dim": 12},
+    "kernel-grid": {"zprime": "0+0i", "extent": 2.0, "grid_points": 9,
+                    "tol": 1e-10},
+    "lower-symbol-scan": {"operator": "Q", "epsilon": "L", "dim": 12,
+                          "extent": 2.0, "grid_points": 9},
+}
+
+
+def _export_options(args) -> None:
+    """Fill in the defaults of the options args.object reads and reject any
+    other per-object option that was given."""
+    reads = _EXPORT_OPTIONS[args.object]
+    for name in dict.fromkeys(n for o in _EXPORT_OPTIONS.values() for n in o):
+        value = getattr(args, name)
+        if name in reads:
+            if value is None:
+                setattr(args, name, reads[name])
+        elif value is not None:
+            raise ValueError(f"--{name.replace('_', '-')} {value}: not read "
+                             f"by --object {args.object}")
+
+
 def cmd_export(args) -> int:
+    _export_options(args)
     if args.object == "operator":
         op = _operator_by_name(args.operator, args.s, args.dim, args.epsilon)
         _emit(_matrix_payload(op, args), args)
@@ -300,7 +343,7 @@ def cmd_export(args) -> int:
     if args.object == "kernel-grid":
         from . import basis
 
-        zp = _complex_arg(args.zprime, "--zprime")
+        zp = _kernel_arg(args.zprime, "--zprime")
         return _emit_grid(args, lambda zs: [basis.kernel(
             args.s, z, zp, tol=args.tol).value for z in zs.tolist()],
             s=args.s, zprime=args.zprime)
@@ -324,6 +367,8 @@ def _emit_grid(args, row_values, **meta) -> int:
     import numpy as np
 
     extent = _finite(args.extent, "--extent")
+    # the corners are the grid's points of largest modulus
+    _square_modulus(complex(extent, extent), f"--extent {args.extent}")
     pts = np.linspace(-extent, extent, args.grid_points).tolist()
     rows = []
     for x in pts:
@@ -457,13 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write data files")
     p.add_argument("--object", required=True,
                    choices=("operator", "kernel-grid", "lower-symbol-scan"))
-    p.add_argument("--operator", default="Q")
-    p.add_argument("--epsilon", choices=("L", "R"), default="L")
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--zprime", default="0+0i")
-    p.add_argument("--extent", type=float, default=2.0)
-    p.add_argument("--grid-points", type=int, default=9)
-    common(p, dim=True, tol=True)
+    # unset here: cmd_export fills in the defaults of _EXPORT_OPTIONS
+    p.add_argument("--operator")
+    p.add_argument("--epsilon", choices=("L", "R"))
+    p.add_argument("--zprime")
+    p.add_argument("--extent", type=float)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--dim", type=int)
+    common(p)
     return top
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import os
 from fractions import Fraction
 from functools import partial
 
@@ -472,35 +471,23 @@ SUITES = {
 }
 
 
-def _run_suite(name: str, seed: int | None) -> list:
-    fn = SUITES[name]
-    if seed is not None and "seed" in inspect.signature(fn).parameters:
-        return fn(seed)
-    return fn()
-
-
 def run(suite: str = "all", seed: int | None = None) -> list:
-    """Run one named suite in this process, or all of them.
+    """Run one named suite, or with "all" every suite of SUITES in its
+    order, in this process, and return their checks in that order.
 
-    "all" runs the suites, which share no state, in forked worker processes,
-    one per usable core, and joins their checks in the order of SUITES, so
-    the report equals that of a serial run.  Forked workers inherit this
-    process's imports, patched modules and warning filters; a suite's
-    exception is re-raised here with its own type.  The seed feeds the
-    suites that sample random evaluation points."""
-    if suite != "all":
-        if suite not in SUITES:
-            raise KeyError(f"unknown suite {suite!r}")
-        return _run_suite(suite, seed)
-    # imported here: they would add about 25 ms to every CLI start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(len(SUITES), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) \
-            as pool:
-        futures = [pool.submit(_run_suite, name, seed) for name in SUITES]
-        return [c for f in futures for c in f.result()]
+    The suites share no state and each seeds its own generator, so the
+    report of "all" equals that of the suites run one by one.  A suite's
+    exception propagates with its own type.  The seed feeds the suites that
+    sample random evaluation points."""
+    if suite != "all" and suite not in SUITES:
+        raise KeyError(f"unknown suite {suite!r}")
+    checks = []
+    for fn in SUITES.values() if suite == "all" else (SUITES[suite],):
+        if seed is not None and "seed" in inspect.signature(fn).parameters:
+            checks += fn(seed)
+        else:
+            checks += fn()
+    return checks
 
 
 def report_json(checks, suite: str, seed: int | None = None) -> str:

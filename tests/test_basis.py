@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -150,6 +151,30 @@ def test_normalization_rejects_negative_arguments(fn):
         fn(-1, 1.0)
     with pytest.raises(ValueError, match="t must be nonnegative"):
         fn(2, -0.5)
+
+
+@pytest.mark.parametrize("fn", [normalization, normalization_series,
+                                normalization_scaled,
+                                normalization_deficit_log])
+def test_normalization_rejects_non_finite_t(fn):
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"t must be finite: t = {t}"):
+            fn(2, t)
+    # the first non-finite element in C order is named, also before a
+    # negative one
+    ts = np.array([[1.0, -1.0], [math.nan, math.inf]])
+    with pytest.raises(ValueError, match="t must be finite: t = nan"):
+        fn(2, ts)
+
+
+def test_cs_coefficients_reject_non_finite_z():
+    for z in (complex(math.nan, 0.0), complex(0.5, math.inf)):
+        with pytest.raises(ValueError, match=re.escape(f"z = {z}")):
+            cs_coefficients(1, z, 4)
+    # |z|^2 beyond the floats is rejected too, with no overflow warning
+    zs = np.array([[0.5, 1e200], [complex(2.0, math.nan), 0.0]])
+    with pytest.raises(ValueError, match=re.escape("z = (1e+200+0j)")):
+        cs_coefficients(1, zs, 4)
 
 
 def _deficit_log_finite_sum(s: int, t: float) -> float:

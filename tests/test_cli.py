@@ -1,3 +1,4 @@
+import _posixsubprocess
 import argparse
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hermquant.basis import kernel_s1_closed
-from hermquant.cli import (_BUILDERS, SUITE_NAMES, build_parser, main,
-                           parse_complex)
+from hermquant.cli import (_BUILDERS, _EXPORT_OPTIONS, SUITE_NAMES,
+                           build_parser, main, parse_complex)
 from hermquant.matrices import build_Q
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,6 +140,35 @@ def test_poly_assoc_hermite_coefficients(capsys):
      "--mass 2.0: not read"),
     (("physics", "hamiltonian", "--mode", "dimensionless", "--length",
       "compton"), "--length compton: not read"),
+    (("export", "--object", "operator", "--zprime", "1"),
+     "--zprime 1: not read by --object operator"),
+    (("export", "--object", "operator", "--extent", "2"),
+     "--extent 2.0: not read by --object operator"),
+    (("export", "--object", "operator", "--grid-points", "9"),
+     "--grid-points 9: not read by --object operator"),
+    (("export", "--object", "operator", "--tol", "1e-10"),
+     "--tol 1e-10: not read by --object operator"),
+    (("export", "--object", "kernel-grid", "--operator", "Q"),
+     "--operator Q: not read by --object kernel-grid"),
+    (("export", "--object", "kernel-grid", "--dim", "12"),
+     "--dim 12: not read by --object kernel-grid"),
+    (("export", "--object", "kernel-grid", "--epsilon", "L"),
+     "--epsilon L: not read by --object kernel-grid"),
+    (("export", "--object", "lower-symbol-scan", "--zprime", "0+0i"),
+     "--zprime 0+0i: not read by --object lower-symbol-scan"),
+    (("export", "--object", "lower-symbol-scan", "--tol", "1e-10"),
+     "--tol 1e-10: not read by --object lower-symbol-scan"),
+    (("kernel", "--s", "1", "--z", "1e200", "--zprime", "0"),
+     "--z 1e200: |z|^2 overflows a float"),
+    (("kernel", "--s", "1", "--z", "0", "--zprime", "1e160+1e160i"),
+     "--zprime 1e160+1e160i: |z|^2 overflows a float"),
+    (("export", "--object", "kernel-grid", "--zprime=-1e200i",
+      "--grid-points", "2"), "--zprime -1e200i: |z|^2 overflows a float"),
+    (("export", "--object", "kernel-grid", "--extent", "1e154",
+      "--grid-points", "2"), "--extent 1e+154: |z|^2 overflows a float"),
+    (("export", "--object", "lower-symbol-scan", "--extent", "1e200",
+      "--grid-points", "2", "--dim", "4"),
+     "--extent 1e+200: |z|^2 overflows a float"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
         "table-negative-s-max", "normalization-negative-s",
@@ -155,7 +186,13 @@ def test_poly_assoc_hermite_coefficients(capsys):
         "hamiltonian-dim-2", "hamiltonian-underflowing-ell",
         "gamma-underflowing-ell", "hamiltonian-s-beyond-floats",
         "dimensionless-omega",
-        "dimensionless-mass", "dimensionless-length"])
+        "dimensionless-mass", "dimensionless-length",
+        "operator-zprime", "operator-extent", "operator-grid-points",
+        "operator-tol", "kernel-grid-operator", "kernel-grid-dim",
+        "kernel-grid-epsilon", "symbol-scan-zprime", "symbol-scan-tol",
+        "kernel-overflowing-z", "kernel-overflowing-zprime",
+        "kernel-grid-overflowing-zprime", "kernel-grid-overflowing-extent",
+        "symbol-scan-overflowing-extent"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -229,17 +266,40 @@ def test_verify_all_runs_clean_with_runtime_warnings_as_errors():
     body = json.loads(proc.stdout)
     assert body["n_checks"] == 150 and body["all_passed"] is True
     assert all(c["passed"] for c in body["checks"])
-    # stderr holds the 150 verdict lines and nothing from the workers
+    # stderr holds the 150 verdict lines and nothing else
     assert proc.stderr == "".join(
         f"[pass] {c['name']} residual={c['max_residual']:.3e} "
         f"tol={c['tol']:.1e}\n" for c in body["checks"])
-    # the verify pool's modules load only when "all" runs
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hermquant.cli; print(sorted("
-         "m for m in sys.modules "
-         "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_verify_all_loads_no_process_pool_modules():
+    # "all" runs its suites in this process, so neither the import nor the
+    # run loads multiprocessing or concurrent.futures
+    code = (
+        "import os, sys, hermquant.cli as c\n"
+        "def pool():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.partition('.')[0] in "
+        "('multiprocessing', 'concurrent'))\n"
+        "loaded = pool()\n"
+        "rc = c.main(['verify', '--suite', 'all', '--out', os.devnull])\n"
+        "print(rc, loaded, pool())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env(), timeout=300)
+    assert proc.returncode == 0 and proc.stdout == "0 [] []\n", proc.stderr
+
+
+def test_verify_all_starts_no_process_or_thread(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify --suite all started a process or thread")
+
+    # os.fork and _posixsubprocess.fork_exec start every process that os,
+    # subprocess and each multiprocessing start method makes
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(_posixsubprocess, "fork_exec", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "5")
+    assert code == 0 and json.loads(out)["n_checks"] == 150
 
 
 def _loaded_modules(code: str) -> set:
@@ -291,12 +351,30 @@ def test_verify_all_reraises_a_suite_error_as_the_serial_run_does(
 
     monkeypatch.setitem(verify.SUITES, "quantize", overflowing)
     serial = main(["verify", "--suite", "quantize"]), capfd.readouterr()
-    # capfd also captures what the forked workers write to the shared fds
-    pooled = main(["verify", "--suite", "all"]), capfd.readouterr()
-    assert serial == pooled
-    code, (out, err) = pooled
+    # capfd captures the file descriptors too, so nothing written below
+    # sys.stdout and sys.stderr escapes the comparison
+    together = main(["verify", "--suite", "all"]), capfd.readouterr()
+    assert serial == together
+    code, (out, err) = together
     assert code == 2 and out == ""
     assert err == "error: e^t exceeds the float range\n"
+
+
+@pytest.mark.parametrize("name, position", [("basis", 0), ("physics", -1)])
+def test_verify_all_lets_the_first_and_last_suite_errors_through(
+        monkeypatch, name, position):
+    from hermquant import verify
+
+    class SuiteFault(Exception):
+        pass
+
+    def failing(seed=0):
+        raise SuiteFault(f"{name} failed")
+
+    assert list(verify.SUITES)[position] == name
+    monkeypatch.setitem(verify.SUITES, name, failing)
+    with pytest.raises(SuiteFault, match=f"^{name} failed$"):
+        verify.run("all", seed=5)
 
 
 def test_export_operator_matches_builder(tmp_path, capsys):
@@ -644,22 +722,46 @@ def test_spectrum_table_is_no_export_object(capsys):
     assert "invalid choice: 'spectrum-table'" in err
 
 
-def test_parser_accepts_every_benchmark_invocation(monkeypatch):
-    # the benchmark runs these argument lists through the CLI; a change of
-    # options that breaks one of them must fail here first
+def _benchmark_ops(monkeypatch) -> list:
+    """One round of each benchmark workload, drawn with seed 1."""
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return [op for make in workloads.WORKLOADS.values()
+            for op in make(random.Random(1))]
+
+
+def test_parser_accepts_every_benchmark_invocation(monkeypatch):
+    # the benchmark runs these argument lists through the CLI; a change of
+    # options that breaks one of them must fail here first
     parser = build_parser()
-    ops = [op for make in workloads.WORKLOADS.values()
-           for op in make(random.Random(1))]
+    ops = _benchmark_ops(monkeypatch)
     assert {op.argv[0] for op in ops} == {"verify", "export", "spectrum",
                                           "physics"}
     for op in ops:
         parser.parse_args(op.argv)
+
+
+def test_benchmark_export_invocations_run_at_small_sizes(monkeypatch,
+                                                        capsys):
+    # each export object rejects the options it does not read, so every
+    # export argument shape of the benchmark must still exit 0; the grids
+    # and operators are cut down, the lower symbol keeps the --dim its
+    # coherent states need
+    ops = [op for op in _benchmark_ops(monkeypatch) if op.argv[0] == "export"]
+    assert {op.argv[2] for op in ops} == set(_EXPORT_OPTIONS)
+    for op in ops:
+        argv = list(op.argv)
+        for flag in ("--grid-points", "--dim"):
+            if flag in argv and (flag == "--grid-points"
+                                 or argv[2] == "operator"):
+                argv[argv.index(flag) + 1] = "3"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out and not err
 
 
 def _readme_cli_examples() -> list:

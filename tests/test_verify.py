@@ -446,9 +446,8 @@ def test_ladder_commutator_fails_for_a_wrong_AL_weight(monkeypatch):
     assert not check.passed and check.max_residual > 0.1
 
 
-def test_pooled_workers_see_a_patched_module(monkeypatch):
-    # the suites of "all" run in forked workers, which inherit the patch;
-    # a spawned or forkserver worker would re-import the module unpatched
+def test_verify_all_sees_a_patched_module(monkeypatch):
+    # "all" runs its suites in this process, through the patched module
     name = "ladder.commutator_AL_ALdag_is_identity"
     _patch_wrong_AL_weight(monkeypatch)
     check = {c.name: c for c in verify.run("all", seed=5)}[name]
@@ -456,7 +455,7 @@ def test_pooled_workers_see_a_patched_module(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [5, 99])
-def test_pooled_report_equals_suites_run_one_by_one(seed):
+def test_all_report_equals_suites_run_one_by_one(seed):
     serial = [c for name in verify.SUITES for c in verify.run(name, seed)]
     assert (verify.report_json(verify.run("all", seed), "all", seed)
             == verify.report_json(serial, "all", seed))
