@@ -129,8 +129,17 @@ def cmd_basis(args) -> int:
     from . import basis
 
     if args.which == "phi":
+        import numpy as np
+
         label = basis.BasisLabel(args.epsilon, args.n, args.s)
-        val = basis.phi(label, _complex_arg(args.z, "--z"))
+        z = _kernel_arg(args.z, "--z")
+        # L_s^(n)(|z|^2) grows like |z|^{2s} and overflows first
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                val = basis.phi(label, z)
+            except FloatingPointError:
+                raise ValueError(f"--z {args.z}: the Laguerre factor of "
+                                 f"phi_{{n;s}} overflows a float") from None
         _emit(_scalar_payload(val, args, epsilon=args.epsilon, n=args.n,
                               s=args.s), args)
         return 0
@@ -151,7 +160,8 @@ def _square_modulus(z: complex, named: str) -> None:
 
 
 def _kernel_arg(text: str, flag: str) -> complex:
-    """_complex_arg for a point of the kernel, whose |z|^2 must be a float."""
+    """_complex_arg for a point of the kernel or of phi, whose |z|^2 must be
+    a float."""
     z = _complex_arg(text, flag)
     _square_modulus(z, f"{flag} {text}")
     return z
@@ -170,6 +180,8 @@ def cmd_kernel(args) -> int:
 def cmd_quantize(args) -> int:
     from . import quantize
 
+    _nonnegative(args.a, "--a")
+    _nonnegative(args.b, "--b")
     if args.method == "closed":
         op = quantize.quantize_monomial(args.a, args.b, args.s, args.epsilon,
                                         args.dim)

@@ -42,9 +42,10 @@ class PhysicalParams:
     ell: float | None = None
 
     def __post_init__(self):
-        if self.ell is None:
-            object.__setattr__(self, "ell", self.hbar / (2.0 * self.m * self.c))
+        # m, hbar and c are checked before an unset ell is derived from them
         for name in ("m", "omega", "hbar", "c", "ell"):
+            if name == "ell" and self.ell is None:
+                object.__setattr__(self, "ell", _half_compton(self))
             value = getattr(self, name)
             # NaN passes a bare `value <= 0` test
             if not (math.isfinite(value) and value > 0):
@@ -55,8 +56,7 @@ class PhysicalParams:
     def compton(cls, m: float, omega: float, hbar: float = HBAR_SI,
                 c: float = C_SI) -> "PhysicalParams":
         """Fix ell as one half of the Compton length hbar/(2 m c)."""
-        return cls(m=m, omega=omega, hbar=hbar, c=c,
-                   ell=hbar / (2.0 * m * c))
+        return cls(m=m, omega=omega, hbar=hbar, c=c)
 
     @classmethod
     def oscillator(cls, m: float, omega: float, hbar: float = HBAR_SI,
@@ -76,7 +76,13 @@ class PhysicalParams:
 
     @property
     def is_compton(self) -> bool:
-        return self.ell == self.hbar / (2.0 * self.m * self.c)
+        return self.ell == _half_compton(self)
+
+
+def _half_compton(par: PhysicalParams) -> float:
+    """hbar/(2 m c), infinite where 2 m c underflows to zero."""
+    denom = 2.0 * par.m * par.c
+    return par.hbar / denom if denom else math.inf
 
 
 def zeta_map(params: PhysicalParams, q: float, p: float) -> complex:
@@ -192,36 +198,19 @@ def build_physical_AH(params: PhysicalParams, s: int, N: int):
 
 
 def infimum_scan(s: int, z: complex = 1.0 + 0.0j,
-                 sigmas=(1.0, 1e-1, 1e-2, 1e-3, 1e-4)):
-    """Track inf <A_{q^2}> along rescaled coherent states z/sqrt(sigma).
+                 sigmas=(1.0, 1e-1, 1e-2, 1e-3, 1e-4)) -> float:
+    """Least gap <A_{q^2}> - <Q^2> over the coherent states z/sqrt(sigma).
 
     On every state the exact identity A_{q^2} - Q^2 = (s + 1/2) + (s/2) P_0
-    gives the gap <A_{q^2}> - <Q^2> = (s + 1/2) + (s/2)|<e_0|w>|^2, whose
-    ground-state overlap is the occupancy of n = 0 and dies off
-    exponentially as sigma -> 0, so the extrapolated limit is the spectral
-    infimum shift s + 1/2.  Verify evaluates the two expectation values
-    directly as its independent route.  Returns (extrapolated, samples).
+    (checked by matrices.verify_square_identities) gives the gap
+    (s + 1/2) + (s/2)|c_0|^2, where |c_0|^2 is the occupancy of n = 0.  It
+    dies off exponentially as sigma -> 0, so the least gap is the infimum
+    shift s + 1/2, reached exactly once (s/2)|c_0|^2 falls below half an
+    ulp of it.  np.min keeps a NaN gap, which Python's min drops unless it
+    comes first.
     """
-    samples = []
-    for sigma in sigmas:
-        t = abs(complex(z) / math.sqrt(sigma)) ** 2
-        samples.append(s + 0.5 + 0.5 * s * poisson_like_pmf(0, s, t))
-    return aitken_extrapolate(samples), samples
-
-
-def aitken_extrapolate(values) -> float:
-    """Aitken delta-squared acceleration of a convergent scan; falls back to
-    the last sample when successive differences have already vanished."""
-    v = list(values)
-    if len(v) < 3:
-        return v[-1]
-    x0, x1, x2 = v[-3], v[-2], v[-1]
-    d1 = x1 - x0
-    d2 = x2 - x1
-    denom = d2 - d1
-    if denom == 0.0 or abs(d2) < 1e-14 * max(1.0, abs(x2)):
-        return x2
-    return x2 - d2 * d2 / denom
+    t = np.abs(complex(z) / np.sqrt(sigmas)) ** 2
+    return float(np.min(s + 0.5 + 0.5 * s * poisson_like_pmf(0, s, t)))
 
 
 @dataclass(frozen=True)
@@ -256,7 +245,7 @@ def spectrum_compare(s_list, N: int = 8) -> list:
         hh = build_Hhat(s, N).bands[0].real
         g_a = float(ah[0])
         g_h = float(hh[0])
-        inf_q2 = infimum_scan(s)[0]
+        inf_q2 = infimum_scan(s)
         shift = ah - hh
         rows.append(SpectrumRow(
             s=s,

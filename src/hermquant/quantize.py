@@ -96,6 +96,8 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
     """
     if N < 1:
         raise ValueError("N must be positive")
+    if a < 0 or b < 0:
+        raise ValueError("exponents must be nonnegative")
     sgn = -eps_sign(epsilon)  # +1 for L, -1 for R
     a_eps = a if sgn == 1 else b
     a_meps = b if sgn == 1 else a

@@ -2,8 +2,10 @@
 polynomials, terminating 3F2 sums, and the two-index Hermite polynomials
 h^{r,s}(z, zbar) in their two standard representations.
 
-Everything here is a pure function.  Float paths switch to log-space once
-factorial growth would overflow; exact paths use int/Fraction arithmetic.
+Everything here is a pure function.  Coefficients (Pochhammer symbols,
+binomials, Laguerre coefficients, 3F2 sums) have one exact path, in
+int/Fraction arithmetic, with a float parameter taken at its exact binary
+value; the float evaluators convert them or run a three-term recurrence.
 """
 
 from __future__ import annotations
@@ -36,35 +38,26 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def binomial_general(x, k: int):
-    """binom(x, k) = x(x-1)...(x-k+1)/k! for real or Fraction x."""
-    if isinstance(x, (int, Fraction)):
-        num = Fraction(1)
-        for j in range(k):
-            num *= Fraction(x) - j
-        return num / math.factorial(k)
-    out = 1.0
+def binomial_general(x, k: int) -> Fraction:
+    """binom(x, k) = x(x-1)...(x-k+1)/k!, exactly; a float x is taken at its
+    exact binary value."""
+    x = Fraction(x)
+    num = Fraction(1)
     for j in range(k):
-        out *= (x - j) / (j + 1)
-    return out
+        num *= x - j
+    return num / math.factorial(k)
 
 
 def laguerre_coeffs(s: int, alpha) -> list:
     """Ascending coefficients of L_s^(alpha): sum_m (-1)^m binom(s+alpha, s-m) x^m / m!.
 
-    Exact Fractions for rational alpha, floats otherwise.
+    Exact Fractions; a float alpha is taken at its exact binary value.
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    exact = isinstance(alpha, (int, Fraction))
-    coeffs = []
-    for m in range(s + 1):
-        b = binomial_general((Fraction(alpha) if exact else alpha) + s, s - m)
-        if exact:
-            coeffs.append((-1) ** m * Fraction(b) / math.factorial(m))
-        else:
-            coeffs.append((-1) ** m * b / math.factorial(m))
-    return coeffs
+    alpha = Fraction(alpha)
+    return [(-1) ** m * binomial_general(alpha + s, s - m) / math.factorial(m)
+            for m in range(s + 1)]
 
 
 def laguerre(s: int, alpha, x):

@@ -102,8 +102,10 @@ def suite_basis(seed: int = 20240901) -> list:
             n = int(rng.integers(0, 13))
             yield z, s, n, f"s={s} n={n} z={z:.3f}"
 
+    # both forms are summed in exact integers and rounded once from the same
+    # value, so they agree bit for bit
     checks.append(worst_case(
-        "basis.hermite_double_sum_vs_laguerre_form", 1e-12, (
+        "basis.hermite_double_sum_vs_laguerre_form", 0.0, (
             (_rel(complex_hermite_exact(s + n, s, z),
                   complex_hermite_laguerre_exact(s, n, z)), wit)
             for z, s, n, wit in hermite_draws())))
@@ -220,12 +222,14 @@ def suite_quantize(seed: int = 20240902) -> list:
         scale = max(1.0, float(np.abs(closed.entries).max()))
         return float(np.abs(closed.entries - numeric.entries).max()) / scale
 
+    # the closed form's bands are exact values rounded once, so the unit
+    # function, the band rule and the adjoint hold with residual 0
     checks = [
         worst_case("quantize.closed_form_vs_integral", QUAD_TOL, (
             (integral_residual(a, b, s, eps), f"a={a} b={b} s={s} eps={eps}")
             for s in range(4) for eps in ("L", "R")
             for a in range(5) for b in range(5 - a))),
-        worst_case("quantize.unit_function_resolves_identity", 1e-12, (
+        worst_case("quantize.unit_function_resolves_identity", 0.0, (
             (float(np.abs(quantize.quantize_monomial(0, 0, s, eps, 10).entries
                           - np.eye(10)).max()), f"s={s} eps={eps}")
             for s in range(4) for eps in ("L", "R"))),
@@ -248,7 +252,7 @@ def suite_quantize(seed: int = 20240902) -> list:
                                 .max()), wit + " adjoint"
 
     checks.append(worst_case("quantize.band_rule_and_adjoint_covariance",
-                             1e-12, band_cases(), 40))
+                             0.0, band_cases(), 40))
 
     def decomposition_residual(s):
         # 2 A_{q^2} - 2 A_{z zbar} - A_{z^2} - A_{zbar^2}, in exact arithmetic
@@ -357,36 +361,6 @@ def suite_spectral() -> list:
     return checks
 
 
-def infimum_scan_direct(s: int, z: complex = 1.0 + 0.0j,
-                        sigmas=(1.0, 1e-1, 1e-2, 1e-3, 1e-4)):
-    """physics.infimum_scan by its definition: <A_{q^2}> - <Q^2> on the
-    coherent states z/sqrt(sigma), each expectation value a banded sum.
-
-    The two sums reach about 1e4 at sigma = 1e-4, where their difference
-    keeps up to 2e-11 of cancellation noise.  Each is the np.sum of its
-    element-wise products: pairwise, without BLAS, so the samples are the
-    same on every run whatever the BLAS thread count.  Returns
-    (extrapolated, samples).
-    """
-    samples = []
-    for sigma in sigmas:
-        w = complex(z) / math.sqrt(sigma)
-        t = abs(w) ** 2
-        dim = int(t + 12.0 * math.sqrt(t) + 60)
-        c = basis.cs_coefficients(s, w, dim, "L", tol=1e-9)
-        n = np.arange(dim, dtype=float)
-        # <A_{q^2}>: diagonal n + 2s + 1 plus the double-shift band
-        off2 = np.sqrt((n[:-2] + s + 1.0) * (n[:-2] + s + 2.0)) / 2.0
-        val_a = np.sum((n + 2 * s + 1.0) * np.abs(c) ** 2)
-        val_a += 2.0 * np.sum(np.real(off2 * np.conj(c[:-2]) * c[2:]))
-        # <Q^2> = ||Q c||^2 with the tridiagonal position matrix
-        cpl = np.sqrt((n[:-1] + s + 1.0) / 2.0)
-        qc = matrices.band_matvec({1: cpl, -1: cpl}, c)
-        val_q = np.sum(qc.view(float) ** 2)
-        samples.append(float(val_a - val_q))
-    return physics.aitken_extrapolate(samples), samples
-
-
 def suite_physics() -> list:
     par = physics.PhysicalParams.compton(physics.ELECTRON_MASS_SI, 3e15)
     lhs = par.hbar ** 2 / (4.0 * par.m * par.ell ** 2)
@@ -440,16 +414,16 @@ def suite_physics() -> list:
 
     checks.append(worst_case("physics.substituted_hamiltonian_first_gap", 0.0,
                              first_gaps()))
-    def infimum_cases():
-        for s in range(4):
-            direct, direct_samples = infimum_scan_direct(s)
-            closed, closed_samples = physics.infimum_scan(s)
-            yield abs(direct - (s + 0.5)), f"s={s}"
-            yield abs(closed - direct), f"s={s}"
-            for k, (d, c) in enumerate(zip(direct_samples, closed_samples)):
-                yield abs(c - d), f"s={s} sample={k}"
 
-    checks.append(worst_case("physics.quantized_square_infimum", 1e-3,
+    def infimum_cases():
+        # the exact identity A_{q^2} = Q^2 + (s + 1/2) + (s/2) P_0, and the
+        # least gap along shrinking coherent states that it yields
+        for s in range(4):
+            for check in matrices.verify_square_identities(s, 20):
+                yield check.max_residual, check.name
+            yield abs(physics.infimum_scan(s) - (s + 0.5)), f"s={s}"
+
+    checks.append(worst_case("physics.quantized_square_infimum", 0.0,
                              infimum_cases()))
 
     # with units restored, [Q, P] reads i hbar (1 + s P0): Q and P built in

@@ -203,16 +203,18 @@ def test_criterion_10_nlpb_and_dual_hamiltonians():
 
 
 def test_criterion_11_infimum_scan():
-    """Extrapolated lower-symbol infimum of the quantized q^2, from the
-    banded expectation values <A_{q^2}> - <Q^2>, equals s + 1/2 within 1e-3
-    for s <= 3, in under 30 seconds."""
+    """The quantized-square infimum check of the report, at tolerance 0:
+    A_{q^2} = Q^2 + (s + 1/2) + (s/2) P_0 with its sibling identities
+    exactly on the interior block, and a least lower-symbol gap of exactly
+    s + 1/2, for s <= 3, in under 30 seconds."""
     start = time.time()
-    worst = _gate(1e-3, ((abs(verify.infimum_scan_direct(s)[0] - (s + 0.5)),
-                          f"s={s}") for s in range(4)))
+    check = {c.name: c for c in verify.suite_physics()}[
+        "physics.quantized_square_infimum"]
     elapsed = time.time() - start
+    assert check.tol == 0.0 and check.passed and check.max_residual == 0.0
     assert elapsed < 30.0
-    _report(11, "quantized-square infimum scan",
-            f"residual {worst:.1e} in {elapsed:.1f}s")
+    _report(11, "quantized-square infimum",
+            f"exact, residual 0 in {elapsed:.1f}s")
 
 
 def test_criterion_12_distributions():

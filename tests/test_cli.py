@@ -1,6 +1,8 @@
 import _posixsubprocess
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermquant.basis import kernel_s1_closed
@@ -169,6 +171,18 @@ def test_poly_assoc_hermite_coefficients(capsys):
     (("export", "--object", "lower-symbol-scan", "--extent", "1e200",
       "--grid-points", "2", "--dim", "4"),
      "--extent 1e+200: |z|^2 overflows a float"),
+    (("physics", "gamma", "--mass", "0", "--omega", "0"),
+     "--mass 0.0 --omega 0.0: m = 0.0 must be finite and strictly positive"),
+    (("physics", "hamiltonian", "--mass", "0", "--dim", "4"),
+     "--mass 0.0 --omega 3000000000000000.0: m = 0.0"),
+    (("basis", "phi", "--n", "0", "--s", "0", "--z", "0+1.4e154i"),
+     "--z 0+1.4e154i: |z|^2 overflows a float"),
+    (("basis", "phi", "--n", "0", "--s", "11", "--z", "1e150"),
+     "--z 1e150: the Laguerre factor of phi_{n;s} overflows a float"),
+    (("quantize", "--a", "-1", "--b", "0", "--s", "0", "--dim", "3"),
+     "--a -1: must be nonnegative"),
+    (("quantize", "--a", "0", "--b", "-2", "--s", "1", "--dim", "3",
+      "--method", "numeric"), "--b -2: must be nonnegative"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
         "table-negative-s-max", "normalization-negative-s",
@@ -192,7 +206,10 @@ def test_poly_assoc_hermite_coefficients(capsys):
         "kernel-grid-epsilon", "symbol-scan-zprime", "symbol-scan-tol",
         "kernel-overflowing-z", "kernel-overflowing-zprime",
         "kernel-grid-overflowing-zprime", "kernel-grid-overflowing-extent",
-        "symbol-scan-overflowing-extent"])
+        "symbol-scan-overflowing-extent", "gamma-zero-mass",
+        "hamiltonian-zero-mass", "phi-overflowing-z",
+        "phi-overflowing-laguerre", "quantize-closed-negative-a",
+        "quantize-numeric-negative-b"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -780,3 +797,63 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for argv in examples:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+# bounds that keep every fuzzed case fast; the sector and degree options
+# range over -2..14, and verify runs only its quickest suites
+_FUZZ_INTS = {"--dim": (-2, 24), "--grid-points": (-1, 5)}
+_FUZZ_SUITES = ("ladder", "nlpb", "physics")
+
+
+def _fuzz_value(action) -> st.SearchStrategy:
+    """Command-line text for one option: in range, out of range, NaN,
+    infinite or unparsable."""
+    flag = action.option_strings[0]
+    if flag == "--suite":
+        return st.sampled_from(_FUZZ_SUITES)
+    if action.choices is not None:
+        return st.sampled_from([*action.choices, "X"])
+    if action.type is int:
+        return st.integers(*_FUZZ_INTS.get(flag, (-2, 14))).map(str)
+    if action.type is float:
+        return st.floats().map(repr)
+    if flag == "--out":
+        return st.just(str(ROOT / "no-such-directory" / "out"))
+    if flag == "--operator":
+        return st.sampled_from([*_BUILDERS, "X"])
+    # --z and --zprime: a complex literal from any two floats, or text
+    return st.builds("{!r}{:+}i".format, st.floats(), st.floats()) | st.text(
+        max_size=6)
+
+
+def _fuzz_argv(leaf: str, data) -> list:
+    parser = dict(_leaf_parsers(build_parser()))[leaf]
+    argv = leaf.split()
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        value = _fuzz_value(action)
+        # an omitted --suite would run them all
+        text = data.draw(value if action.required or action.dest == "suite"
+                         else st.none() | value)
+        if text is not None:
+            # the = form keeps a value that starts with "-" a value
+            argv.append(f"{action.option_strings[0]}={text}")
+    return argv
+
+
+@pytest.mark.parametrize("leaf", sorted(LEAF_OPTIONS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_options_keep_the_exit_code_contract(leaf, data):
+    argv = _fuzz_argv(leaf, data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    # 1 means "verification failed", which only verify reports
+    assert code != 1 or leaf == "verify", argv

@@ -5,15 +5,23 @@ import pytest
 
 from hermquant import matrices, physics
 from hermquant.physics import (C_SI, ELECTRON_MASS_SI, HBAR_SI,
-                               PhysicalParams, aitken_extrapolate,
-                               build_physical_AH, gamma_ratio, infimum_scan,
-                               internal_energy_prefactor, spectrum_compare,
-                               zeta_inverse, zeta_map)
+                               PhysicalParams, build_physical_AH, gamma_ratio,
+                               infimum_scan, internal_energy_prefactor,
+                               spectrum_compare, zeta_inverse, zeta_map)
 
 
 @pytest.fixture
 def electron():
     return PhysicalParams.compton(ELECTRON_MASS_SI, 3e15)
+
+
+def test_params_check_the_scales_before_deriving_ell():
+    # a zero mass is named rather than dividing by zero
+    with pytest.raises(ValueError, match="m = 0.0 must be finite"):
+        PhysicalParams.compton(0.0, 3e15)
+    # 2 m c underflows to zero, which leaves ell beyond the floats
+    with pytest.raises(ValueError, match="ell = inf must be finite"):
+        PhysicalParams(m=5e-324, omega=1.0, c=1e-300)
 
 
 def test_params_default_to_compton_length(electron):
@@ -118,19 +126,12 @@ def test_si_commutator_is_i_hbar_exactly(electron, epsilon):
             assert physics.si_commutator_residual(par, s, 8, epsilon) == 0.0
 
 
-@pytest.mark.parametrize("s", range(4))
+@pytest.mark.parametrize("s", range(13))
 def test_infimum_scan_converges(s):
-    ext, samples = infimum_scan(s)
-    assert abs(ext - (s + 0.5)) < 1e-3
-    # gaps decrease toward the limit (up to long-sum rounding noise)
-    deviations = [abs(v - (s + 0.5)) for v in samples]
-    assert deviations[-1] <= deviations[0] + 1e-9
-
-
-def test_aitken_extrapolation_accelerates_geometric():
-    seq = [1.0 + 0.5**k for k in range(1, 7)]
-    assert abs(aitken_extrapolate(seq) - 1.0) < 1e-3
-    assert aitken_extrapolate([2.0, 2.0, 2.0]) == 2.0
+    # the least gap (s + 1/2) + (s/2)|c_0|^2 is its limit s + 1/2, exactly;
+    # at sigma = 0.1 alone the ground occupancy still shows for s > 0
+    assert infimum_scan(s) == s + 0.5
+    assert (infimum_scan(s, sigmas=(0.1,)) > s + 0.5) == (s > 0)
 
 
 def test_spectrum_compare_s0_row():

@@ -139,6 +139,14 @@ def test_numeric_quantization_stays_finite_at_large_dim():
     assert np.abs(numeric - closed).max() <= 1e-12 * np.abs(closed).max()
 
 
+def test_negative_exponents_are_rejected_by_both_methods():
+    for a, b in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            quantize_monomial(a, b, 0, "L", 3)
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            quantize_numeric(Monomial(a, b), 0, "L", 3)
+
+
 def test_band_selection_rule():
     for s in range(3):
         for eps in ("L", "R"):

@@ -147,7 +147,15 @@ def test_laguerre_table_matches_mpmath_at_large_arguments():
 
 def test_binomial_general_integer_and_real():
     assert binomial_general(7, 3) == 35
-    assert binomial_general(2.5, 2) == pytest.approx(2.5 * 1.5 / 2)
+    # a float argument is taken at its exact binary value
+    assert binomial_general(2.5, 2) == Fraction(15, 8)
+    assert binomial_general(0.1, 1) == Fraction(0.1) != Fraction(1, 10)
+
+
+def test_laguerre_coeffs_of_a_float_alpha_are_exact():
+    assert laguerre_coeffs(2, 0.5) == laguerre_coeffs(2, Fraction(1, 2)) == [
+        Fraction(15, 8), Fraction(-5, 2), Fraction(1, 2)]
+    assert all(type(c) is Fraction for c in laguerre_coeffs(3, 0.1))
 
 
 def test_hyp3f2_zero_terminates_immediately():

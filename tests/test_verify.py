@@ -211,28 +211,93 @@ def test_lower_symbol_checks_fail_for_a_nan_symbol(monkeypatch):
     assert not any(checks[n].passed for n in names)
 
 
-def test_infimum_check_fails_for_a_wrong_identity(monkeypatch):
-    from hermquant import physics
+INFIMUM = "physics.quantized_square_infimum"
 
-    name = "physics.quantized_square_infimum"
-    # s |c_0|^2 in place of (s/2) |c_0|^2: the limit s + 1/2 is unchanged,
-    # so only the samples at the widest states see it
-    monkeypatch.setattr(physics, "infimum_scan", _mutant(
-        physics, "infimum_scan", "0.5 * s * poisson_like_pmf",
-        "s * poisson_like_pmf"))
-    check = {c.name: c for c in verify.suite_physics()}[name]
-    assert not check.passed and check.witness == "s=3 sample=0"
+
+def _infimum_check() -> CheckResult:
+    return {c.name: c for c in verify.suite_physics()}[INFIMUM]
+
+
+def test_infimum_check_fails_for_a_wrong_identity(monkeypatch):
+    from hermquant import matrices
+
+    assert _infimum_check().passed
+    # c_{n+1} c_{n+3} in place of c_{n+1} c_{n+2} on the two-step band that
+    # A_{q^2} and A_{p^2} share: both square identities fail by the same
+    # amount, their mean still equals A_H, and the report keeps the witness
+    # of the later of the tied worst cases
+    monkeypatch.setattr(matrices, "_square_op", _mutant(
+        matrices, "_square_op", "sqrt_half(n + s + 2)",
+        "sqrt_half(n + s + 3)"))
+    squares = {c.name: c for c in matrices.verify_square_identities(3, 20)}
+    assert {n for n, c in squares.items() if not c.passed} == {
+        "matrices.Aq2_equals_Q2_plus_shift.s3",
+        "matrices.Ap2_equals_P2_plus_shift.s3"}
+    worst = squares["matrices.Aq2_equals_Q2_plus_shift.s3"].max_residual
+    check = _infimum_check()
+    assert not check.passed and check.max_residual == worst > 0.0
+    assert check.witness == "matrices.Ap2_equals_P2_plus_shift.s3"
 
 
 def test_infimum_check_fails_for_a_nan_infimum(monkeypatch):
     from hermquant import physics
 
-    name = "physics.quantized_square_infimum"
-    assert {c.name: c for c in verify.suite_physics()}[name].passed
-    _nan_where(monkeypatch, physics, "infimum_scan", (math.nan, []),
-               lambda s: s == 2)
-    check = {c.name: c for c in verify.suite_physics()}[name]
-    assert not check.passed and check.witness == "s=2"
+    assert _infimum_check().passed
+    # a NaN ground occupancy at the widest (t = 1) or the narrowest state
+    # of the scan at s = 2; Python's min would drop the one that is not first
+    for t_nan in (1.0, 1e4):
+        with monkeypatch.context() as patch:
+            hits = _nan_where(patch, physics, "poisson_like_pmf", math.nan,
+                              lambda n, s, t: s == 2 and t == t_nan)
+            check = _infimum_check()
+        assert len(hits) == 1
+        assert not check.passed and math.isnan(check.max_residual)
+        assert check.witness == "s=2"
+
+
+def _scaled(op, factor: float):
+    """op with every float band entry multiplied by factor."""
+    from hermquant.matrices import TruncatedOperator
+
+    return TruncatedOperator(op.dim, {k: d * factor
+                                      for k, d in op.bands.items()},
+                             op.band_low, op.band_high, op.sector, op.exact)
+
+
+def test_unit_function_check_fails_for_a_relative_error(monkeypatch):
+    from hermquant import quantize
+
+    name = "quantize.unit_function_resolves_identity"
+    assert {c.name: c for c in verify.suite_quantize()}[name].passed
+    closed = quantize.quantize_monomial
+    monkeypatch.setattr(quantize, "quantize_monomial", lambda *args: _scaled(
+        closed(*args), 1 + 1e-13))
+    check = {c.name: c for c in verify.suite_quantize()}[name]
+    # inside the former tolerance 1e-12, outside the exact one
+    assert not check.passed and 0.0 < check.max_residual <= 1e-12
+
+
+def test_band_rule_fails_for_a_relative_error_in_one_adjoint(monkeypatch):
+    from hermquant import quantize
+
+    name = "quantize.band_rule_and_adjoint_covariance"
+    closed = quantize.quantize_monomial
+    # z off by 1e-13 relative, zbar exact: its adjoint pair no longer matches
+    monkeypatch.setattr(quantize, "quantize_monomial", lambda a, b, *rest: (
+        _scaled(closed(a, b, *rest), 1 + 1e-13) if (a, b) == (1, 0)
+        else closed(a, b, *rest)))
+    check = {c.name: c for c in verify.suite_quantize()}[name]
+    assert not check.passed and 0.0 < check.max_residual <= 1e-12
+    assert check.witness.endswith(" adjoint")
+
+
+def test_dual_representation_fails_for_a_relative_error(monkeypatch):
+    name = "basis.hermite_double_sum_vs_laguerre_form"
+    laguerre_form = verify.complex_hermite_laguerre_exact
+    monkeypatch.setattr(verify, "complex_hermite_laguerre_exact",
+                        lambda s, n, z: laguerre_form(s, n, z) * (1 + 1e-13))
+    check = _basis_check(name)
+    assert not check.passed and 0.0 < check.max_residual <= 1e-12
 
 
 def _traced_functions() -> set:
@@ -617,15 +682,15 @@ def test_kernel_checks_fail_for_a_conjugated_argument(monkeypatch):
 
 
 def test_infimum_check_fails_for_a_wrong_diagonal(monkeypatch):
-    name = "physics.quantized_square_infimum"
-    assert {c.name: c for c in verify.suite_physics()}[name].passed
-    # n + 2s on the diagonal of A_{q^2}, which carries n + 2s + 1, in the
-    # direct route
-    monkeypatch.setattr(verify, "infimum_scan_direct", _mutant(
-        verify, "infimum_scan_direct", "(n + 2 * s + 1.0)",
-        "(n + 2 * s + 0.0)"))
-    check = {c.name: c for c in verify.suite_physics()}[name]
-    assert not check.passed and check.max_residual == pytest.approx(1.0)
+    from hermquant import matrices
+
+    assert _infimum_check().passed
+    # n + 2s on the diagonal of A_{q^2}, A_{p^2} and A_H, which carry
+    # n + 2s + 1: each square identity is off by exactly one
+    monkeypatch.setattr(matrices, "_energy_diagonal", _mutant(
+        matrices, "_energy_diagonal", "n + 2 * s + 1", "n + 2 * s"))
+    check = _infimum_check()
+    assert not check.passed and check.max_residual == 1.0
 
 
 def test_dual_representation_fails_without_the_k_factorial(monkeypatch):
