@@ -60,6 +60,12 @@ def _nonnegative(value: int, flag: str) -> int:
     return value
 
 
+def _positive(value: int, flag: str) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} {value}: must be positive")
+    return value
+
+
 def _finite(value: float, flag: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{flag} {value}: must be finite")
@@ -105,7 +111,7 @@ def cmd_poly(args) -> int:
     if args.which == "hermite":
         from .specfun import complex_hermite_exact
 
-        val = complex_hermite_exact(args.r, args.s,
+        val = complex_hermite_exact(_nonnegative(args.r, "--r"), args.s,
                                     _complex_arg(args.z, "--z"))
         _emit(_scalar_payload(val, args, r=args.r, s=args.s), args)
         return 0
@@ -131,7 +137,8 @@ def cmd_basis(args) -> int:
     if args.which == "phi":
         import numpy as np
 
-        label = basis.BasisLabel(args.epsilon, args.n, args.s)
+        label = basis.BasisLabel(args.epsilon, _nonnegative(args.n, "--n"),
+                                 args.s)
         z = _kernel_arg(args.z, "--z")
         # L_s^(n)(|z|^2) grows like |z|^{2s} and overflows first
         with np.errstate(over="raise", invalid="raise"):
@@ -170,8 +177,9 @@ def _kernel_arg(text: str, flag: str) -> complex:
 def cmd_kernel(args) -> int:
     from . import basis
 
+    tol = _nonnegative(_finite(args.tol, "--tol"), "--tol")
     kv = basis.kernel(args.s, _kernel_arg(args.z, "--z"),
-                      _kernel_arg(args.zprime, "--zprime"), tol=args.tol)
+                      _kernel_arg(args.zprime, "--zprime"), tol=tol)
     _emit(_scalar_payload(kv.value, args, truncation_n=kv.truncation_n,
                           est_tail=kv.est_tail), args)
     return 0
@@ -182,6 +190,7 @@ def cmd_quantize(args) -> int:
 
     _nonnegative(args.a, "--a")
     _nonnegative(args.b, "--b")
+    _positive(args.dim, "--dim")
     if args.method == "closed":
         op = quantize.quantize_monomial(args.a, args.b, args.s, args.epsilon,
                                         args.dim)
@@ -195,6 +204,7 @@ def cmd_quantize(args) -> int:
 def cmd_spectrum(args) -> int:
     from . import spectral
 
+    _positive(args.dim, "--dim")
     if args.which == "eigenvalues":
         ev = spectral.eigenvalues(args.dim, args.s)
         if args.format == "csv":
@@ -356,8 +366,9 @@ def cmd_export(args) -> int:
         from . import basis
 
         zp = _kernel_arg(args.zprime, "--zprime")
+        tol = _nonnegative(_finite(args.tol, "--tol"), "--tol")
         return _emit_grid(args, lambda zs: [basis.kernel(
-            args.s, z, zp, tol=args.tol).value for z in zs.tolist()],
+            args.s, z, zp, tol=tol).value for z in zs.tolist()],
             s=args.s, zprime=args.zprime)
     if args.object == "lower-symbol-scan":
         from . import quantize
@@ -381,7 +392,8 @@ def _emit_grid(args, row_values, **meta) -> int:
     extent = _finite(args.extent, "--extent")
     # the corners are the grid's points of largest modulus
     _square_modulus(complex(extent, extent), f"--extent {args.extent}")
-    pts = np.linspace(-extent, extent, args.grid_points).tolist()
+    pts = np.linspace(-extent, extent,
+                      _nonnegative(args.grid_points, "--grid-points")).tolist()
     rows = []
     for x in pts:
         zs = np.array([complex(x, y) for y in pts])
@@ -418,7 +430,8 @@ def _operator_by_name(name: str, s: int, dim: int, epsilon: str):
     if name not in _BUILDERS:
         raise ValueError(f"unknown operator {name!r}; "
                          f"choose from {sorted(_BUILDERS)}")
-    return getattr(matrices, _BUILDERS[name])(s, dim, epsilon)
+    return getattr(matrices, _BUILDERS[name])(s, _positive(dim, "--dim"),
+                                              epsilon)
 
 
 def build_parser() -> argparse.ArgumentParser:

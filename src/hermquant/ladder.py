@@ -1,18 +1,26 @@
 """Index-space ladder algebra on the orthogonal decomposition of L2(C).
 
-Basis states are labeled by sectors: left states (L, n, s) with n >= 1,
-right states (R, n, s) with n >= 1, and the shared relative ground states
-G_s = (G, 0, s) where the two sectors intersect.  The four ladder operators
-act by the rules
+A basis state is a complex Hermite function h_{r,q}, stored as the pair of
+its indices (r, q).  The pair carries its sector label: r > q is the left
+state (L, n, s), r < q the right state (R, n, s), and r = q the relative
+ground state G_s = (G, 0, s) where the two sectors intersect, with
+n = |r - q| and s = min(r, q).  On the indices the generators act by
+
+    A_L (r,q) = sqrt(r) (r-1,q)        A_L! (r,q) = sqrt(r+1) (r+1,q)
+    A_R (r,q) = sqrt(q) (r,q-1)        A_R! (r,q) = sqrt(q+1) (r,q+1)
+    N_L (r,q) = r (r,q)                N_R (r,q) = q (r,q)
+    J   (r,q) = (q,r)
+
+with annihilation encoded by an empty result.  In sector form, as the paper
+states them and as the tests check these rules against, A_L and A_L! act by
 
     A_L (L,n,s) = sqrt(s+n) (L,n-1,s)          A_L! (L,n,s) = sqrt(s+n+1) (L,n+1,s)
     A_L (G,s)   = sqrt(s)   (R,1,s-1)          A_L! (G,s)   = sqrt(s+1)   (L,1,s)
     A_L (R,n,s) = sqrt(s)   (R,n+1,s-1)        A_L! (R,n,s) = sqrt(s+1)   (R,n-1,s+1)
 
-with the right-handed operators given by the L <-> R mirror, and annihilation
-encoded by an empty result.  All coefficients are exact SqrtSum values, so
-every identity check below reports a residual that is exactly zero or a
-genuine failure.
+and the right-handed operators by the L <-> R mirror J.  All coefficients
+are exact SqrtSum values, so every identity check below reports a residual
+that is exactly zero or a genuine failure.
 """
 
 from __future__ import annotations
@@ -29,62 +37,50 @@ from .report import CheckResult, worst_case
 _ZERO = SqrtSum(0)
 _ONE = SqrtSum(1)
 
-_KINDS = ("L", "G", "R")
 
-OPS = ("AL", "ALdag", "AR", "ARdag", "NL", "NR", "J")
+class SectorIndex(NamedTuple):
+    """One basis state h_{r,q}, read in sector terms through `kind`, `n`
+    and `s`.  A tuple underneath, so hashing and comparison run in C.
+    `left`, `right` and `ground` build one from its sector label and
+    validate it; the ladder rules build the images of valid states."""
 
+    r: int
+    q: int
 
-class _Fields(NamedTuple):
-    kind: str
-    n: int
-    s: int
+    @property
+    def kind(self) -> str:
+        return "L" if self.r > self.q else "R" if self.r < self.q else "G"
 
+    @property
+    def n(self) -> int:
+        return abs(self.r - self.q)
 
-class SectorIndex(_Fields):
-    """One basis state of the decomposition: kind 'L'/'R' with n >= 1, or the
-    ground state kind 'G' carrying only s.
+    @property
+    def s(self) -> int:
+        return min(self.r, self.q)
 
-    A tuple underneath, so hashing and comparison run in C.  Constructing
-    one validates it; the ladder rules build the images of valid states with
-    `_state`, which skips the checks."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, n: int, s: int):
-        if kind not in _KINDS:
-            raise ValueError("kind must be 'L', 'G' or 'R'")
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        if kind == "G":
-            if n != 0:
-                raise ValueError("ground states carry n = 0")
-        elif n < 1:
-            raise ValueError("starred sector states need n >= 1")
-        return tuple.__new__(cls, (kind, n, s))
-
-
-def _state(kind: str, n: int, s: int) -> SectorIndex:
-    """Unchecked SectorIndex: kind 'L'/'R' with n >= 1, or the ground state
-    when n = 0."""
-    return tuple.__new__(SectorIndex, ("G", 0, s) if n == 0 else (kind, n, s))
+    def __repr__(self) -> str:
+        if self.r == self.q:
+            return f"G(s={self.s})"
+        return f"{self.kind}(n={self.n}, s={self.s})"
 
 
 def left(n: int, s: int) -> SectorIndex:
-    return SectorIndex("G", 0, s) if n == 0 else SectorIndex("L", n, s)
+    if n < 0 or s < 0:
+        raise ValueError(f"n = {n} and s = {s} must be nonnegative")
+    return SectorIndex(s + n, s)
 
 
 def right(n: int, s: int) -> SectorIndex:
-    return SectorIndex("G", 0, s) if n == 0 else SectorIndex("R", n, s)
+    return mirror_index(left(n, s))
 
 
 def ground(s: int) -> SectorIndex:
-    return SectorIndex("G", 0, s)
+    return left(0, s)
 
 
 def mirror_index(idx: SectorIndex) -> SectorIndex:
-    if idx.kind == "G":
-        return idx
-    return _state("R" if idx.kind == "L" else "L", idx.n, idx.s)
+    return SectorIndex(idx.q, idx.r)
 
 
 # A WeightedIndexSum is a dict {SectorIndex: SqrtSum}; {} encodes annihilation.
@@ -96,28 +92,16 @@ def _sq(k: int) -> SqrtSum:
     return SqrtSum.sqrt(k)
 
 
-def _apply_AL(idx: SectorIndex) -> WeightedIndexSum:
-    n, s = idx.n, idx.s
-    if idx.kind == "L":
-        return {_state("L", n - 1, s): _sq(s + n)}
-    if s == 0:
-        return {}
-    if idx.kind == "G":
-        return {_state("R", 1, s - 1): _sq(s)}
-    return {_state("R", n + 1, s - 1): _sq(s)}
-
-
-def _apply_ALdag(idx: SectorIndex) -> WeightedIndexSum:
-    n, s = idx.n, idx.s
-    if idx.kind == "L":
-        return {_state("L", n + 1, s): _sq(s + n + 1)}
-    if idx.kind == "G":
-        return {_state("L", 1, s): _sq(s + 1)}
-    return {_state("R", n - 1, s + 1): _sq(s + 1)}
-
-
-def _mirror_sum(out: WeightedIndexSum) -> WeightedIndexSum:
-    return {mirror_index(i): c for i, c in out.items()}
+# the generators on the Hermite indices; a zero weight annihilates
+_RULES = {
+    "AL": lambda r, q: {SectorIndex(r - 1, q): _sq(r)} if r else {},
+    "ALdag": lambda r, q: {SectorIndex(r + 1, q): _sq(r + 1)},
+    "AR": lambda r, q: {SectorIndex(r, q - 1): _sq(q)} if q else {},
+    "ARdag": lambda r, q: {SectorIndex(r, q + 1): _sq(q + 1)},
+    "NL": lambda r, q: {SectorIndex(r, q): SqrtSum(r)} if r else {},
+    "NR": lambda r, q: {SectorIndex(r, q): SqrtSum(q)} if q else {},
+    "J": lambda r, q: {SectorIndex(q, r): _ONE},
+}
 
 
 def ladder_apply(which: str, idx: SectorIndex) -> WeightedIndexSum:
@@ -125,23 +109,9 @@ def ladder_apply(which: str, idx: SectorIndex) -> WeightedIndexSum:
 
     which is one of 'AL', 'ALdag', 'AR', 'ARdag', 'NL', 'NR', 'J'.
     """
-    if which == "AL":
-        return _apply_AL(idx)
-    if which == "ALdag":
-        return _apply_ALdag(idx)
-    if which == "AR":
-        return _mirror_sum(_apply_AL(mirror_index(idx)))
-    if which == "ARdag":
-        return _mirror_sum(_apply_ALdag(mirror_index(idx)))
-    if which == "NL":
-        val = idx.n + idx.s if idx.kind == "L" else idx.s
-        return {idx: SqrtSum(val)} if val else {}
-    if which == "NR":
-        val = idx.n + idx.s if idx.kind == "R" else idx.s
-        return {idx: SqrtSum(val)} if val else {}
-    if which == "J":
-        return {mirror_index(idx): _ONE}
-    raise ValueError(f"unknown operator {which!r}")
+    if which not in _RULES:
+        raise ValueError(f"unknown operator {which!r}")
+    return _RULES[which](*idx)
 
 
 def apply_to_sum(which: str, vec: WeightedIndexSum) -> WeightedIndexSum:

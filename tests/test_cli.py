@@ -183,6 +183,38 @@ def test_poly_assoc_hermite_coefficients(capsys):
      "--a -1: must be nonnegative"),
     (("quantize", "--a", "0", "--b", "-2", "--s", "1", "--dim", "3",
       "--method", "numeric"), "--b -2: must be nonnegative"),
+    (("kernel", "--s", "3", "--z", "1", "--zprime", "1", "--tol", "nan"),
+     "--tol nan: must be finite"),
+    (("kernel", "--s", "3", "--z", "1", "--zprime", "1", "--tol", "inf"),
+     "--tol inf: must be finite"),
+    (("kernel", "--s", "3", "--z", "1", "--zprime", "1", "--tol=-1"),
+     "--tol -1.0: must be nonnegative"),
+    (("export", "--object", "kernel-grid", "--tol", "nan"),
+     "--tol nan: must be finite"),
+    (("export", "--object", "kernel-grid", "--tol=-1e-10"),
+     "--tol -1e-10: must be nonnegative"),
+    (("export", "--object", "kernel-grid", "--grid-points=-1"),
+     "--grid-points -1: must be nonnegative"),
+    (("export", "--object", "lower-symbol-scan", "--grid-points=-1"),
+     "--grid-points -1: must be nonnegative"),
+    (("spectrum", "eigenvalues", "--s", "0", "--dim", "0"),
+     "--dim 0: must be positive"),
+    (("spectrum", "eigenvalues", "--s", "0", "--dim=-2"),
+     "--dim -2: must be positive"),
+    (("spectrum", "measure", "--s", "0", "--dim", "0"),
+     "--dim 0: must be positive"),
+    (("spectrum", "measure", "--s", "0", "--dim=-2"),
+     "--dim -2: must be positive"),
+    (("quantize", "--a", "1", "--b", "0", "--s", "0", "--dim", "0"),
+     "--dim 0: must be positive"),
+    (("export", "--object", "operator", "--dim", "0"),
+     "--dim 0: must be positive"),
+    (("export", "--object", "lower-symbol-scan", "--dim", "0"),
+     "--dim 0: must be positive"),
+    (("poly", "hermite", "--r=-1", "--s", "0", "--z", "1"),
+     "--r -1: must be nonnegative"),
+    (("basis", "phi", "--n=-1", "--s", "0", "--z", "1"),
+     "--n -1: must be nonnegative"),
 ], ids=["negative-degree", "normalization-overflow", "hermite-overflow",
         "table-dim-1", "assoc-hermite-negative-s", "hermite-nan-z",
         "table-negative-s-max", "normalization-negative-s",
@@ -209,13 +241,27 @@ def test_poly_assoc_hermite_coefficients(capsys):
         "symbol-scan-overflowing-extent", "gamma-zero-mass",
         "hamiltonian-zero-mass", "phi-overflowing-z",
         "phi-overflowing-laguerre", "quantize-closed-negative-a",
-        "quantize-numeric-negative-b"])
+        "quantize-numeric-negative-b", "kernel-nan-tol", "kernel-inf-tol",
+        "kernel-negative-tol", "kernel-grid-nan-tol",
+        "kernel-grid-negative-tol", "kernel-grid-negative-grid-points",
+        "symbol-scan-negative-grid-points", "eigenvalues-dim-0",
+        "eigenvalues-negative-dim", "measure-dim-0", "measure-negative-dim",
+        "quantize-dim-0", "export-operator-dim-0", "symbol-scan-dim-0",
+        "hermite-negative-r", "phi-negative-n"])
 def test_domain_error_exit_code(capsys, argv, needle):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     # the message names the offending argument
     assert needle in err
+
+
+@pytest.mark.parametrize("obj", ["kernel-grid", "lower-symbol-scan"])
+def test_zero_grid_points_is_an_empty_grid(capsys, obj):
+    code, out, err = run_cli(capsys, "export", "--object", obj,
+                             "--grid-points", "0")
+    assert code == 0, err
+    assert json.loads(out)["rows"] == []
 
 
 def test_hamiltonian_radicands_beyond_the_floats(capsys):

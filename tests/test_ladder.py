@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermquant import ladder
 from hermquant.exact import SqrtSum
 from hermquant.ladder import (SectorIndex, apply_word, basis_window,
                               dual_hamiltonian_verify, ground, ladder_apply,
@@ -41,12 +42,25 @@ def test_quadratic_ground_ladders(s):
 
 
 def test_invalid_indices_rejected():
-    with pytest.raises(ValueError):
-        SectorIndex("L", 0, 1)
-    with pytest.raises(ValueError):
-        SectorIndex("G", 1, 1)
-    with pytest.raises(ValueError):
-        SectorIndex("L", 1, -1)
+    for build, args in ((left, (-1, 2)), (left, (1, -1)), (right, (-2, 0)),
+                        (right, (0, -1)), (ground, (-1,))):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            build(*args)
+
+
+def test_states_are_hermite_index_pairs():
+    assert left(2, 1) == SectorIndex(3, 1) and right(2, 1) == SectorIndex(1, 3)
+    assert ground(4) == SectorIndex(4, 4)
+    for idx in basis_window(4, 4):
+        assert (idx.kind, idx.n, idx.s) == (
+            "G" if idx.r == idx.q else "L" if idx.r > idx.q else "R",
+            abs(idx.r - idx.q), min(idx.r, idx.q))
+
+
+def test_repr_names_the_sector():
+    assert repr(left(2, 1)) == "L(n=2, s=1)"
+    assert repr(right(1, 0)) == "R(n=1, s=0)"
+    assert repr(ground(3)) == "G(s=3)"
 
 
 def test_left_right_constructors_canonicalize_ground():
@@ -86,8 +100,85 @@ def test_no_negative_indices_ever():
     for idx in basis_window(5, 5):
         for op in ("AL", "ALdag", "AR", "ARdag"):
             for out in ladder_apply(op, idx):
+                assert out.r >= 0 and out.q >= 0
                 assert out.n >= 0 and out.s >= 0
                 assert out.kind in ("L", "G", "R")
+
+
+# The sector-form table of the paper, written out by hand in (kind, n, s):
+# a statement of the ladder rules independent of their (r, q) form.
+def _sector(kind, n, s):
+    return ground(s) if n == 0 else left(n, s) if kind == "L" else right(n, s)
+
+
+def _AL_sector(kind, n, s):
+    if kind == "L":
+        return {_sector("L", n - 1, s): SqrtSum.sqrt(s + n)}
+    if s == 0:
+        return {}
+    if kind == "G":
+        return {_sector("R", 1, s - 1): SqrtSum.sqrt(s)}
+    return {_sector("R", n + 1, s - 1): SqrtSum.sqrt(s)}
+
+
+def _ALdag_sector(kind, n, s):
+    if kind == "L":
+        return {_sector("L", n + 1, s): SqrtSum.sqrt(s + n + 1)}
+    if kind == "G":
+        return {_sector("L", 1, s): SqrtSum.sqrt(s + 1)}
+    return {_sector("R", n - 1, s + 1): SqrtSum.sqrt(s + 1)}
+
+
+_FLIP = {"L": "R", "G": "G", "R": "L"}
+
+
+def _mirrored(rule):
+    """The right-handed partner J rule J of a left-handed rule."""
+    def partner(kind, n, s):
+        return {_sector(_FLIP[i.kind], i.n, i.s): c
+                for i, c in rule(_FLIP[kind], n, s).items()}
+    return partner
+
+
+def _number(sector):
+    """N_L (sector 'L') or N_R: s + n on its own sector, s elsewhere."""
+    def rule(kind, n, s):
+        val = s + n if kind == sector else s
+        return {_sector(kind, n, s): SqrtSum(val)} if val else {}
+    return rule
+
+
+SECTOR_FORM = {
+    "AL": _AL_sector,
+    "ALdag": _ALdag_sector,
+    "AR": _mirrored(_AL_sector),
+    "ARdag": _mirrored(_ALdag_sector),
+    "NL": _number("L"),
+    "NR": _number("R"),
+    "J": lambda kind, n, s: {_sector(_FLIP[kind], n, s): SqrtSum(1)},
+}
+
+
+def _sector_form_mismatches():
+    return [(op, idx) for idx in basis_window(8, 8)
+            for op, rule in SECTOR_FORM.items()
+            if ladder_apply(op, idx) != rule(idx.kind, idx.n, idx.s)]
+
+
+def test_rules_match_the_sector_form_table():
+    assert _sector_form_mismatches() == []
+
+
+@pytest.mark.parametrize("op, mutant", [
+    ("AL", lambda r, q: {SectorIndex(r - 1, q): SqrtSum.sqrt(r + 1)}
+     if r else {}),
+    ("ARdag", lambda r, q: {SectorIndex(r + 1, q): SqrtSum.sqrt(q + 1)}),
+    ("NR", lambda r, q: {SectorIndex(r, q): SqrtSum(r)} if r else {}),
+    ("J", lambda r, q: {SectorIndex(r, q): SqrtSum(1)}),
+], ids=["AL-weight", "ARdag-on-r", "NR-reads-r", "J-no-swap"])
+def test_sector_form_oracle_fails_for_a_mutated_rule(monkeypatch, op, mutant):
+    monkeypatch.setitem(ladder._RULES, op, mutant)
+    assert {o for o, _ in _sector_form_mismatches()} == {op}
 
 
 @settings(max_examples=80)

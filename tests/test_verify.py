@@ -492,15 +492,15 @@ def _patch_wrong_AL_weight(monkeypatch):
     from hermquant import ladder
     from hermquant.exact import SqrtSum
 
-    rule = ladder._apply_AL
+    rule = ladder.ladder_apply
 
-    def wrong(idx):
+    def wrong(which, idx):
         # sqrt(s+n+1) where A_L (L,n,s) carries sqrt(s+n)
-        if idx.kind == "L":
+        if which == "AL" and idx.kind == "L":
             return {ladder.left(idx.n - 1, idx.s): SqrtSum.sqrt(idx.s + idx.n + 1)}
-        return rule(idx)
+        return rule(which, idx)
 
-    monkeypatch.setattr(ladder, "_apply_AL", wrong)
+    monkeypatch.setattr(ladder, "ladder_apply", wrong)
 
 
 def test_ladder_commutator_fails_for_a_wrong_AL_weight(monkeypatch):
