@@ -18,14 +18,17 @@ states them and as the tests check these rules against, A_L and A_L! act by
     A_L (G,s)   = sqrt(s)   (R,1,s-1)          A_L! (G,s)   = sqrt(s+1)   (L,1,s)
     A_L (R,n,s) = sqrt(s)   (R,n+1,s-1)        A_L! (R,n,s) = sqrt(s+1)   (R,n-1,s+1)
 
-and the right-handed operators by the L <-> R mirror J.  All coefficients
-are exact SqrtSum values, so every identity check below reports a residual
-that is exactly zero or a genuine failure.
+and the right-handed operators by the L <-> R mirror J.  Each generator
+sends a state to one state, so a word is folded on (r, q) with the product
+of its integer squared weights, and its image takes one exact SqrtSum root.
+All coefficients are exact, so every identity check below reports a
+residual that is exactly zero or a genuine failure.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -87,21 +90,42 @@ def mirror_index(idx: SectorIndex) -> SectorIndex:
 WeightedIndexSum = dict
 
 
-@lru_cache(maxsize=None)
+# the roots of squared word weights: verify's ladder and nlpb suites take
+# about 560 distinct ones
+@lru_cache(maxsize=4096)
 def _sq(k: int) -> SqrtSum:
     return SqrtSum.sqrt(k)
 
 
-# the generators on the Hermite indices; a zero weight annihilates
+# the generators on the Hermite indices: (r, q) -> (r', q', w^2) for the
+# image w (r', q'), every weight w >= 0; a zero weight annihilates
 _RULES = {
-    "AL": lambda r, q: {SectorIndex(r - 1, q): _sq(r)} if r else {},
-    "ALdag": lambda r, q: {SectorIndex(r + 1, q): _sq(r + 1)},
-    "AR": lambda r, q: {SectorIndex(r, q - 1): _sq(q)} if q else {},
-    "ARdag": lambda r, q: {SectorIndex(r, q + 1): _sq(q + 1)},
-    "NL": lambda r, q: {SectorIndex(r, q): SqrtSum(r)} if r else {},
-    "NR": lambda r, q: {SectorIndex(r, q): SqrtSum(q)} if q else {},
-    "J": lambda r, q: {SectorIndex(q, r): _ONE},
+    "AL": lambda r, q: (r - 1, q, r),
+    "ALdag": lambda r, q: (r + 1, q, r + 1),
+    "AR": lambda r, q: (r, q - 1, q),
+    "ARdag": lambda r, q: (r, q + 1, q + 1),
+    "NL": lambda r, q: (r, q, r * r),
+    "NR": lambda r, q: (r, q, q * q),
+    "J": lambda r, q: (q, r, 1),
 }
+
+
+def _fold(word, idx: SectorIndex):
+    """The image of one basis state under a product of generators,
+    rightmost factor first, as (state, squared weight), or None once a
+    factor annihilates it.  Every generator sends a state to one state, so
+    the word multiplies integer squared weights and takes no root."""
+    r, q = idx
+    w2 = 1
+    for which in reversed(word):
+        try:
+            r, q, f = _RULES[which](r, q)
+        except KeyError:
+            raise ValueError(f"unknown operator {which!r}") from None
+        w2 *= f
+        if not w2:
+            return None
+    return SectorIndex(r, q), w2
 
 
 def ladder_apply(which: str, idx: SectorIndex) -> WeightedIndexSum:
@@ -109,32 +133,29 @@ def ladder_apply(which: str, idx: SectorIndex) -> WeightedIndexSum:
 
     which is one of 'AL', 'ALdag', 'AR', 'ARdag', 'NL', 'NR', 'J'.
     """
-    if which not in _RULES:
-        raise ValueError(f"unknown operator {which!r}")
-    return _RULES[which](*idx)
-
-
-def apply_to_sum(which: str, vec: WeightedIndexSum) -> WeightedIndexSum:
-    out: WeightedIndexSum = {}
-    for idx, coeff in vec.items():
-        for jdx, c in ladder_apply(which, idx).items():
-            # the shared one starts every word and weights every J image
-            term = c if coeff is _ONE else coeff if c is _ONE else coeff * c
-            acc = out.get(jdx, _ZERO) + term
-            if acc:
-                out[jdx] = acc
-            elif jdx in out:
-                del out[jdx]
-    return out
+    return apply_word((which,), idx)
 
 
 def apply_word(word, idx_or_vec) -> WeightedIndexSum:
-    """Apply a product of generators, rightmost factor first."""
+    """Apply a product of generators, rightmost factor first: each basis
+    state of the sum is folded through the whole word and its image takes
+    one exact root."""
     vec = ({idx_or_vec: _ONE} if isinstance(idx_or_vec, SectorIndex)
-           else dict(idx_or_vec))
-    for which in reversed(word):
-        vec = apply_to_sum(which, vec)
-    return vec
+           else idx_or_vec)
+    out: WeightedIndexSum = {}
+    for idx, coeff in vec.items():
+        image = _fold(word, idx)
+        if image is None:
+            continue
+        jdx, w2 = image
+        w = _sq(w2)
+        term = w if coeff is _ONE else coeff * w
+        acc = out.get(jdx, _ZERO) + term
+        if acc:
+            out[jdx] = acc
+        elif jdx in out:
+            del out[jdx]
+    return out
 
 
 def sum_sub(a: WeightedIndexSum, b: WeightedIndexSum) -> WeightedIndexSum:
@@ -164,9 +185,13 @@ def basis_window(n_max: int, s_max: int):
 
 
 def _check_identity(name: str, lhs_fn, rhs_fn, window) -> CheckResult:
-    return worst_case(name, 0.0, (
-        (sum_residual(sum_sub(lhs_fn(idx), rhs_fn(idx))), repr(idx))
+    check = worst_case(name, 0.0, (
+        (sum_residual(sum_sub(lhs_fn(idx), rhs_fn(idx))), idx)
         for idx in window))
+    # a pass drops its witness, so only the state a failure keeps is
+    # formatted (str of a state is its sector label)
+    return check if check.passed else replace(check,
+                                              witness=str(check.witness))
 
 
 def commutator(op_a: str, op_b: str, idx: SectorIndex) -> WeightedIndexSum:

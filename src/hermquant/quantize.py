@@ -14,6 +14,7 @@ polar quadrature of `quadrature`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,18 +134,42 @@ def default_rule(f, s: int, N: int) -> QuadratureRule:
     return rule_for(radial_degree, max_freq)
 
 
+def _radial_factors(s: int, N: int, u: np.ndarray) -> np.ndarray:
+    """sqrt(s!/(s+n)!) u^{n/2} L_s^(n)(u) for n < N at the nodes u: the phi
+    factor with e^{-u/2} and the sector sign (-1)^s, which cancel in every
+    product, taken out."""
+    logmag, sign = _log_phi(s, np.arange(N), u)
+    return sign * np.exp(logmag + 0.5 * u)
+
+
+# verify's quantize suite reads 12 tables
+@functools.lru_cache(maxsize=64)
+def _shared_radial_factors(s: int, N: int, n_r: int) -> np.ndarray:
+    """The radial factors at the nodes of the shared n_r-point rule of
+    `gauss_laguerre_rule`, built once per process and read-only.  Only
+    default rules read them: a caller's rule is never matched to a table by
+    its size."""
+    table = _radial_factors(s, N, gauss_laguerre_rule(n_r).radial_nodes)
+    table.setflags(write=False)
+    return table
+
+
 def quantize_numeric(f, s: int, epsilon: str, N: int,
                      rule: QuadratureRule | None = None) -> TruncatedOperator:
     """Quantization of f by the double integral, using radial Gauss-Laguerre
     times the exact uniform angular grid.
 
     The radial factor of entry (n, n') is e^u phi_{n;s} phi_{n';s} at
-    |z|^2 = u, read from the log-magnitude table of `basis.phi_values`; the
+    |z|^2 = u, read from the log-magnitude table of `basis.phi_values`,
+    which a default rule builds once per process for each (s, N, n_r); the
     entries are summed one band offset n' - n at a time, so the work arrays
     hold O(N n_r) values.
     """
     if rule is None:
         rule = default_rule(f, s, N)
+        radial = _shared_radial_factors(s, N, rule.radial_nodes.size)
+    else:
+        radial = _radial_factors(s, N, rule.radial_nodes)
     sgn = angular_phase_sign(epsilon)
     u = rule.radial_nodes
     theta = rule.angles()
@@ -155,11 +180,6 @@ def quantize_numeric(f, s: int, epsilon: str, N: int,
     ds = np.arange(1 - N, N)
     phases = np.exp(-1j * sgn * np.outer(ds, theta))    # (2N-1, M)
     angular = rule.radial_weights * (phases @ fvals.T) / m_ang  # (2N-1, n_r)
-
-    # sqrt(s!/(s+n)!) u^{n/2} L_s^(n)(u): the phi factor with e^{-u/2} and
-    # the sector sign (-1)^s, which cancel in every product, taken out
-    logmag, sign = _log_phi(s, np.arange(N), u)
-    radial = sign * np.exp(logmag + 0.5 * u)
 
     bands = {d: (radial[:N - abs(d)] * radial[abs(d):]) @ angular[d + N - 1]
              for d in ds.tolist()}

@@ -72,9 +72,35 @@ class PolyExact:
         return acc / (big_d * q ** self.degree)
 
 
-def _shift(coeffs) -> list:
-    """Multiply by the variable."""
-    return [0] + list(coeffs)
+# the last two rows each recurrence built, (s, k, R_{k-1}, R_k) with tuple
+# rows.  An entry is replaced whole, never changed, so every call reads one
+# consistent entry; a race between callers can only lose an entry, which
+# costs a restart and never a wrong row
+_LAST_ROWS: dict = {}
+
+
+def _recurrence(family: str, s: int, n: int, start: tuple, scale,
+                weight) -> tuple:
+    """R_n of the integer three-term recurrence R_{k+1} = scale(k) x R_k -
+    weight(k) R_{k-1} on sector s, with (R_0, R_1) = start, as ascending
+    integer coefficients.  Each family keeps the last two rows it built, so
+    that a call on the same sector at a degree no lower extends them instead
+    of starting again: a sweep over degrees 0..n costs one recurrence."""
+    if n == 0:
+        return start[0]
+    last = _LAST_ROWS.get(family)
+    if last is not None and last[0] == s and last[1] <= n:
+        _, k, prev, cur = last
+    else:
+        k, (prev, cur) = 1, start
+    while k < n:
+        a, b = scale(k), weight(k)
+        nxt = [0] + [a * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= b * c
+        k, prev, cur = k + 1, cur, tuple(nxt)
+    _LAST_ROWS[family] = (s, k, prev, cur)
+    return cur
 
 
 @dataclass(frozen=True)
@@ -114,16 +140,9 @@ def monic_q(n: int, s: int) -> PolyExact:
     """
     if n < 0 or s < 0:
         raise ValueError("need n >= 0 and s >= 0")
-    prev = [1]
-    if n == 0:
-        return PolyExact(prev)
-    cur = [0, 1]
-    for k in range(1, n):
-        nxt = _shift(cur) if k % 2 == 0 else [2 * a for a in _shift(cur)]
-        for i, a in enumerate(prev):
-            nxt[i] -= (k + s) * a
-        prev, cur = cur, nxt
-    return _unscale(cur, n // 2)
+    coeffs = _recurrence("monic_q", s, n, ((1,), (0, 1)),
+                         lambda k: 2 if k % 2 else 1, lambda k: k + s)
+    return _unscale(coeffs, n // 2)
 
 
 def assoc_hermite(n: int, s: int) -> PolyExact:
@@ -131,14 +150,8 @@ def assoc_hermite(n: int, s: int) -> PolyExact:
     with H_0 = 1; integer coefficients, classical Hermite at s = 0."""
     if n < 0 or s < 0:
         raise ValueError("need n >= 0 and s >= 0")
-    prev = [0]
-    cur = [1]
-    for k in range(n):
-        nxt = [2 * a for a in _shift(cur)]
-        for i, a in enumerate(prev):
-            nxt[i] -= 2 * (s + k) * a
-        prev, cur = cur, nxt
-    return PolyExact(cur)
+    return PolyExact(_recurrence("assoc_hermite", s, n, ((1,), (0, 2)),
+                                 lambda k: 2, lambda k: 2 * (s + k)))
 
 
 def char_poly(n: int, s: int) -> PolyExact:
@@ -151,14 +164,19 @@ def char_poly(n: int, s: int) -> PolyExact:
     if n < 1:
         raise ValueError("n must be positive")
     jm = JacobiMatrix(s, n)
-    dets = [[1], [0, 2]]
-    for k in range(2, n + 1):
-        ck2_4 = int(4 * jm.offdiag_sq(k - 1))
-        nxt = [2 * a for a in _shift(dets[-1])]
-        for i, a in enumerate(dets[-2]):
-            nxt[i] -= ck2_4 * a
-        dets.append(nxt)
-    return _unscale(dets[n], n)
+    minor = _recurrence("char_poly", s, n, ((1,), (0, 2)), lambda k: 2,
+                        lambda k: int(4 * jm.offdiag_sq(k)))
+    return _unscale(minor, n)
+
+
+def section_eigenvalues(sizes, s: int) -> list:
+    """Eigenvalues of the n-sections for every n in sizes, ascending, one
+    array per section, from one multisection over all of them (see
+    tridiag.section_eigenvalues); each equals eigenvalues(n, s)."""
+    sizes = list(sizes)
+    n = max(sizes, default=0)
+    return tridiag.section_eigenvalues(np.zeros(n),
+                                       JacobiMatrix(s, n).offdiag(), sizes)
 
 
 def eigenvalues(n: int, s: int) -> np.ndarray:
@@ -166,7 +184,7 @@ def eigenvalues(n: int, s: int) -> np.ndarray:
     Jacobi matrix from certified LAPACK brackets (see tridiag.eigenvalues).
     Sturm counts set every digit: each value is the midpoint of a bracket
     2^-60 of the Gershgorin span wide."""
-    return tridiag.eigenvalues(np.zeros(n), JacobiMatrix(s, n).offdiag())
+    return section_eigenvalues([n], s)[0]
 
 
 @dataclass(frozen=True)

@@ -170,11 +170,10 @@ def test_rules_match_the_sector_form_table():
 
 
 @pytest.mark.parametrize("op, mutant", [
-    ("AL", lambda r, q: {SectorIndex(r - 1, q): SqrtSum.sqrt(r + 1)}
-     if r else {}),
-    ("ARdag", lambda r, q: {SectorIndex(r + 1, q): SqrtSum.sqrt(q + 1)}),
-    ("NR", lambda r, q: {SectorIndex(r, q): SqrtSum(r)} if r else {}),
-    ("J", lambda r, q: {SectorIndex(r, q): SqrtSum(1)}),
+    ("AL", lambda r, q: (r - 1, q, r + 1 if r else 0)),
+    ("ARdag", lambda r, q: (r + 1, q, q + 1)),
+    ("NR", lambda r, q: (r, q, r * r)),
+    ("J", lambda r, q: (r, q, 1)),
 ], ids=["AL-weight", "ARdag-on-r", "NR-reads-r", "J-no-swap"])
 def test_sector_form_oracle_fails_for_a_mutated_rule(monkeypatch, op, mutant):
     monkeypatch.setitem(ladder._RULES, op, mutant)
@@ -230,3 +229,33 @@ def test_sum_sub_and_residual():
     diff = sum_sub(a, b)
     assert sum_residual(diff) == pytest.approx(math.sqrt(2))
     assert sum_residual(sum_sub(a, a)) == 0.0
+
+
+def _generator_by_generator(word, idx):
+    """The image of idx under word one generator at a time, with a SqrtSum
+    product per step: the route a folded word must agree with."""
+    vec = {idx: SqrtSum(1)}
+    for op in reversed(word):
+        out = {}
+        for i, c in vec.items():
+            for j, w in ladder_apply(op, i).items():
+                out[j] = out.get(j, SqrtSum(0)) + c * w
+        vec = {j: c for j, c in out.items() if c}
+    return vec
+
+
+@settings(max_examples=80)
+@given(st.lists(st.sampled_from(sorted(ladder._RULES)), max_size=6),
+       st.integers(0, 6), st.integers(0, 6))
+def test_folded_word_equals_generator_by_generator(word, r, q):
+    idx = SectorIndex(r, q)
+    assert apply_word(word, idx) == _generator_by_generator(word, idx)
+
+
+def test_word_on_a_sum_scales_each_image():
+    vec = {ground(2): SqrtSum.sqrt(3), left(1, 0): SqrtSum(-2)}
+    assert apply_word(("ALdag", "NR"), vec) == {
+        left(1, 2): SqrtSum.sqrt(3) * 2 * SqrtSum.sqrt(3)}
+    assert apply_word(("AL",), {ground(0): SqrtSum(5)}) == {}
+    with pytest.raises(ValueError, match="unknown operator 'X'"):
+        apply_word(("AL", "X"), left(1, 1))

@@ -7,7 +7,7 @@ from hermquant.basis import BasisLabel, phi
 from hermquant.errors import HintViolation, PoleError, TailError
 from hermquant.exact import exact_max_abs, exact_sub
 from hermquant.matrices import build_A_z, build_A_zbar, build_AH, build_Aq2
-from hermquant.quadrature import gauss_laguerre_rule
+from hermquant.quadrature import QuadratureRule, gauss_laguerre_rule
 from hermquant.quantize import (Monomial, Sampled, angular_phase_sign,
                                 default_rule, laguerre_integral,
                                 laguerre_integral_moments,
@@ -313,3 +313,33 @@ def test_laguerre_integral_pole_and_swap_fallback():
 def test_laguerre_integral_domain_guard():
     with pytest.raises(ValueError):
         laguerre_integral(-1.5, 1.0, 1.0, 1, 1)
+
+
+def test_default_rule_tables_are_shared_and_read_only():
+    from hermquant import quantize
+
+    f = Monomial(2, 1)
+    first = quantize_numeric(f, 2, "R", 9).entries
+    n_r = default_rule(f, 2, 9).radial_nodes.size
+    table = quantize._shared_radial_factors(2, 9, n_r)
+    assert table is quantize._shared_radial_factors(2, 9, n_r)
+    assert not table.flags.writeable
+    assert np.array_equal(quantize_numeric(f, 2, "R", 9).entries, first)
+
+
+def test_a_callers_rule_never_reads_a_shared_table():
+    # a rule of the default size on other nodes: its own nodes give its
+    # own radial factors, however many default tables exist already
+    f = Monomial(1, 1)
+    shared = default_rule(f, 1, 8)
+    quantize_numeric(f, 1, "L", 8)
+    moved = QuadratureRule(shared.radial_nodes * 1.01, shared.radial_weights,
+                           shared.angular_count)
+    got = quantize_numeric(f, 1, "L", 8, rule=moved).entries
+    # z zbar = u has no angular part: the rule's sum of e^u phi_n^2 u
+    u = moved.radial_nodes
+    phi2 = np.array([np.abs(phi(BasisLabel("L", n, 1), np.sqrt(u))) ** 2
+                     for n in range(8)]) * np.exp(u)
+    want = np.diag(phi2 @ (moved.radial_weights * u))
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    assert np.abs(got - quantize_numeric(f, 1, "L", 8).entries).max() > 1e-3

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from hermquant import spectral
 from hermquant.spectral import (DiscreteMeasure, JacobiMatrix, PolyExact,
                                 assoc_hermite, assoc_hermite_laguerre_check,
                                 assoc_laguerre_coeffs, carleman_partial_sum,
                                 char_poly, eigenvalues,
                                 golub_welsch, monic_q, orthonormal_values,
+                                section_eigenvalues,
                                 selfadjointness_divergence_test)
 
 from oracles import charpoly_faddeev
@@ -221,3 +223,23 @@ def test_polynomial_families_reject_negative_sectors():
     for family in (monic_q, assoc_hermite):
         with pytest.raises(ValueError):
             family(3, -2)
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_section_eigenvalues_equal_one_section_calls(s):
+    sizes = [16, 2, 7, 1]
+    for n, ev in zip(sizes, section_eigenvalues(sizes, s)):
+        assert np.array_equal(ev, eigenvalues(n, s))
+
+
+@pytest.mark.parametrize("family", (monic_q, assoc_hermite, char_poly))
+def test_recurrences_do_not_depend_on_call_order(family):
+    # the kept rows serve a rising sweep; any other order starts again
+    calls = [(7, 2), (3, 2), (12, 2), (12, 4), (5, 2), (5, 2), (20, 4),
+             (1, 4), (9, 0)]
+    fresh = {}
+    for n, s in calls:
+        spectral._LAST_ROWS.clear()
+        fresh[n, s] = family(n, s)
+    for n, s in calls + calls[::-1]:
+        assert family(n, s) == fresh[n, s], (n, s)

@@ -43,14 +43,14 @@ def _span(diag, off):
 
 
 def _counting_sweeps(monkeypatch):
-    # rounds + 1: every multisection round and the certification make one
-    # Sturm sweep each
+    # the shift count of every Sturm sweep: each multisection round makes
+    # one, and the first also takes the certificate of the seeds
     calls = []
     sweep = tridiag.sturm_counts
 
-    def counted(diag, off, xs):
+    def counted(diag, off, xs, sizes=None):
         calls.append(np.size(xs))
-        return sweep(diag, off, xs)
+        return sweep(diag, off, xs, sizes)
 
     monkeypatch.setattr(tridiag, "sturm_counts", counted)
     return calls
@@ -73,8 +73,8 @@ def test_close_and_double_roots_start_from_certified_seeds(monkeypatch, case):
     ref = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     calls = _counting_sweeps(monkeypatch)
     got = eigenvalues(diag, off)
-    # every seed certified: one sweep over the 2n endpoints, then 5 rounds
-    assert calls == [2 * diag.size] + [7 * diag.size] * 5
+    # every seed certified: 5 rounds, the first also sweeping the 2n ends
+    assert calls == [9 * diag.size] + [7 * diag.size] * 4
     assert np.all(np.diff(got) >= 0)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     if case == "double-block":
@@ -99,8 +99,11 @@ def test_wrong_seeds_fall_back_to_gershgorin(monkeypatch, wrong, matrix):
                         lambda d, o: perturb(estimates(d, o)))
     calls = _counting_sweeps(monkeypatch)
     got = eigenvalues(diag, off)
-    # a failed certificate sends its root to the Gershgorin bracket: 20 rounds
-    assert len(calls) == 21
+    # a failed certificate sends its root to the Gershgorin bracket, with
+    # one more sweep at its interior points: 20 rounds in 21 sweeps
+    n = diag.size
+    failed = calls[1] // 7
+    assert calls == [9 * n, 7 * failed] + [7 * n] * 19 and 0 < failed <= n
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(got - seeded).max() <= 2.0 ** -58 * _span(diag, off)
 
@@ -129,3 +132,63 @@ def test_memory_stays_linear_in_the_shift_count():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _laguerre_jacobi(n: int):
+    # the Jacobi matrix of the radial Gauss-Laguerre rules
+    return 2.0 * np.arange(n) + 1.0, np.arange(1, n, dtype=float)
+
+
+@pytest.mark.parametrize("s", range(7))
+def test_sections_equal_one_section_calls(s):
+    diag, off = np.zeros(40), np.sqrt((np.arange(1, 40) + s) / 2.0)
+    sizes = list(range(1, 41))
+    for m, ev in zip(sizes, tridiag.section_eigenvalues(diag, off, sizes)):
+        assert np.array_equal(ev, eigenvalues(diag[:m], off[:m - 1])), m
+
+
+def test_laguerre_sections_equal_one_section_calls():
+    diag, off = _laguerre_jacobi(60)
+    sizes = list(range(12, 61))
+    for m, ev in zip(sizes, tridiag.section_eigenvalues(diag, off, sizes)):
+        assert np.array_equal(ev, eigenvalues(*_laguerre_jacobi(m))), m
+
+
+def test_sections_come_back_in_the_order_asked(monkeypatch):
+    diag, off = np.zeros(9), np.sqrt(np.arange(1, 9) / 2.0)
+    calls = _counting_sweeps(monkeypatch)
+    got = tridiag.section_eigenvalues(diag, off, [3, 9, 0, 1, 5])
+    assert [ev.size for ev in got] == [3, 9, 0, 1, 5]
+    assert got[3][0] == 0.0
+    # sections of order 2 and more share every sweep: 3 + 9 + 5 roots
+    assert calls == [9 * 17] + [7 * 17] * 4
+    with pytest.raises(ValueError):
+        tridiag.section_eigenvalues(diag, off, [10])
+
+
+def test_sections_round_counts_are_their_own(monkeypatch):
+    # a section whose seeds fail keeps 20 rounds while a certified one
+    # stops after 5, and both equal their one-section calls
+    rng = np.random.default_rng(7)
+    diag, off = rng.standard_normal(30), rng.standard_normal(29)
+    want = [eigenvalues(diag[:m], off[:m - 1]) for m in (30, 12)]
+    estimates = tridiag._estimates
+    monkeypatch.setattr(tridiag, "_estimates", lambda d, o: estimates(d, o)
+                        + (0.5 if d.size == 30 else 0.0))
+    calls = _counting_sweeps(monkeypatch)
+    got = tridiag.section_eigenvalues(diag, off, [12, 30])
+    assert np.array_equal(got[0], want[1])
+    assert np.abs(got[1] - want[0]).max() <= 2.0 ** -58 * _span(diag, off)
+    failed = calls[1] // 7
+    assert calls == [9 * 42, 7 * failed] + [7 * 42] * 4 + [7 * 30] * 15
+
+
+def test_sturm_counts_of_sections_equal_separate_sweeps():
+    rng = np.random.default_rng(3)
+    diag, off = rng.standard_normal(25), rng.standard_normal(24)
+    sizes = np.repeat([25, 17, 17, 4, 2], 6)
+    xs = rng.uniform(-3.0, 3.0, sizes.size)
+    got = tridiag.sturm_counts(diag, off, xs, sizes)
+    want = [tridiag.sturm_counts(diag[:m], off[:m - 1], [x])[0]
+            for m, x in zip(sizes, xs)]
+    assert got.tolist() == want

@@ -472,7 +472,10 @@ def test_phi_guards_fail_for_a_wrong_factorial_prefactor(monkeypatch):
         failed = _failed("basis")
         with pytest.raises(TailError):
             quantize.lower_symbol(matrices.build_AH(0, 64), 0.5 + 0.5j, 0)
+    # and past the radial tables the quantize suite has built already
     monkeypatch.setattr(quantize, "_log_phi", wrong)
+    monkeypatch.setattr(quantize, "_shared_radial_factors",
+                        quantize._shared_radial_factors.__wrapped__)
     failed |= _failed("quantize")
     assert failed & PHI_GUARDS == PHI_GUARDS
 
@@ -490,17 +493,10 @@ def test_phi_guards_fail_for_a_wrong_phase_convention(monkeypatch):
 
 def _patch_wrong_AL_weight(monkeypatch):
     from hermquant import ladder
-    from hermquant.exact import SqrtSum
 
-    rule = ladder.ladder_apply
-
-    def wrong(which, idx):
-        # sqrt(s+n+1) where A_L (L,n,s) carries sqrt(s+n)
-        if which == "AL" and idx.kind == "L":
-            return {ladder.left(idx.n - 1, idx.s): SqrtSum.sqrt(idx.s + idx.n + 1)}
-        return rule(which, idx)
-
-    monkeypatch.setattr(ladder, "ladder_apply", wrong)
+    # sqrt(s+n+1) where A_L (L,n,s) = (s+n, s) carries sqrt(s+n)
+    monkeypatch.setitem(ladder._RULES, "AL",
+                        lambda r, q: (r - 1, q, r + 1 if r > q else r))
 
 
 def test_ladder_commutator_fails_for_a_wrong_AL_weight(monkeypatch):
@@ -550,19 +546,12 @@ def test_hhat_gap_fails_without_the_ground_shift(monkeypatch):
 
 def test_nlpb_identity_fails_for_a_wrong_NL_eigenvalue(monkeypatch):
     from hermquant import ladder
-    from hermquant.exact import SqrtSum
 
     name = "nlpb.M_equals_NR_NL_squared"
-    rule = ladder.ladder_apply
-
-    def wrong(which, idx):
-        # n + s + 1 where N_L (L,n,s) has eigenvalue n + s
-        if which == "NL" and idx.kind == "L":
-            return {idx: SqrtSum(idx.n + idx.s + 1)}
-        return rule(which, idx)
-
     assert {c.name: c for c in verify.suite_nlpb()}[name].passed
-    monkeypatch.setattr(ladder, "ladder_apply", wrong)
+    # n + s + 1 where N_L (L,n,s) = (s+n, s) has eigenvalue n + s
+    monkeypatch.setitem(ladder._RULES, "NL",
+                        lambda r, q: (r, q, (r + 1 if r > q else r) ** 2))
     check = {c.name: c for c in verify.suite_nlpb()}[name]
     assert not check.passed and check.max_residual >= 1.0
 
@@ -602,9 +591,11 @@ def _failed_spectral_verdicts() -> set:
 
 def _off_by_one_sweep(monkeypatch, tridiag):
     sweep = tridiag.sturm_counts
-    # the sweep stops one row early and counts the leading (n-1)-section
+    # the sweep stops one row early and counts the leading (m-1)-section of
+    # each m-section
     monkeypatch.setattr(tridiag, "sturm_counts",
-                        lambda diag, off, xs: sweep(diag[:-1], off[:-1], xs))
+                        lambda diag, off, xs, sizes: sweep(
+                            diag, off, xs, np.asarray(sizes) - 1))
 
 
 def _uncertified_seed(monkeypatch, tridiag):
@@ -613,19 +604,19 @@ def _uncertified_seed(monkeypatch, tridiag):
     estimates = tridiag._estimates
     monkeypatch.setattr(tridiag, "_estimates",
                         lambda diag, off: estimates(diag, off) + 1e-9)
-    monkeypatch.setattr(tridiag, "eigenvalues", _mutant(
-        tridiag, "eigenvalues",
-        "certified = (counts[:n] <= rows) & (rows < counts[n:])",
-        "certified = rows >= 0"))
+    monkeypatch.setattr(tridiag, "section_eigenvalues", _mutant(
+        tridiag, "section_eigenvalues",
+        "certified = seeded & (counts[:, 0] <= k) & (k < counts[:, -1])",
+        "certified = seeded"))
 
 
 def _descending_order(monkeypatch, tridiag):
     from hermquant import spectral
 
     # the right eigenvalues, largest first
-    values = spectral.eigenvalues
-    monkeypatch.setattr(spectral, "eigenvalues",
-                        lambda n, s: values(n, s)[::-1])
+    values = spectral.section_eigenvalues
+    monkeypatch.setattr(spectral, "section_eigenvalues",
+                        lambda sizes, s: [ev[::-1] for ev in values(sizes, s)])
 
 
 @pytest.mark.parametrize("mutate, failing", (
