@@ -312,9 +312,13 @@ def exact_max_abs(a: dict) -> float:
 
 
 def to_complex_array(bands: dict, dim: int, zero: complex = 0j):
-    """Dense dim x dim array from float bands, zero off the bands."""
+    """Dense dim x dim array from float bands, zero off the bands; band k
+    holds dim - |k| entries, as `TruncatedOperator` checks.  It fills the
+    strided slice of the flat array that starts at its first entry and steps
+    dim + 1."""
     out = np.full((dim, dim), zero, dtype=complex)
+    flat = out.reshape(-1)
     for k, d in bands.items():
-        t = np.arange(len(d))
-        out[t + max(0, -k), t + max(0, k)] = d
+        start = k if k >= 0 else -k * dim
+        flat[start:start + len(d) * (dim + 1):dim + 1] = d
     return out

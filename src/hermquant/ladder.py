@@ -140,17 +140,16 @@ def apply_word(word, idx_or_vec) -> WeightedIndexSum:
     """Apply a product of generators, rightmost factor first: each basis
     state of the sum is folded through the whole word and its image takes
     one exact root."""
-    vec = ({idx_or_vec: _ONE} if isinstance(idx_or_vec, SectorIndex)
-           else idx_or_vec)
+    if isinstance(idx_or_vec, SectorIndex):
+        image = _fold(word, idx_or_vec)
+        return {} if image is None else {image[0]: _sq(image[1])}
     out: WeightedIndexSum = {}
-    for idx, coeff in vec.items():
+    for idx, coeff in idx_or_vec.items():
         image = _fold(word, idx)
         if image is None:
             continue
         jdx, w2 = image
-        w = _sq(w2)
-        term = w if coeff is _ONE else coeff * w
-        acc = out.get(jdx, _ZERO) + term
+        acc = out.get(jdx, _ZERO) + coeff * _sq(w2)
         if acc:
             out[jdx] = acc
         elif jdx in out:
@@ -184,10 +183,14 @@ def basis_window(n_max: int, s_max: int):
     return out
 
 
+def _residual(lhs: WeightedIndexSum, rhs: WeightedIndexSum) -> float:
+    # coefficients are canonical, so equal sums have an empty difference
+    return 0.0 if lhs == rhs else sum_residual(sum_sub(lhs, rhs))
+
+
 def _check_identity(name: str, lhs_fn, rhs_fn, window) -> CheckResult:
     check = worst_case(name, 0.0, (
-        (sum_residual(sum_sub(lhs_fn(idx), rhs_fn(idx))), idx)
-        for idx in window))
+        (_residual(lhs_fn(idx), rhs_fn(idx)), idx) for idx in window))
     # a pass drops its witness, so only the state a failure keeps is
     # formatted (str of a state is its sector label)
     return check if check.passed else replace(check,

@@ -81,6 +81,14 @@ def _band_offset(a: int, b: int, epsilon: str) -> int:
     return -eps_sign(epsilon) * (a - b)
 
 
+# verify's quantize suite reads 115 of these roots 2,128 times
+@functools.lru_cache(maxsize=1024)
+def _factorial_root(k: int, offset: int) -> SqrtSum:
+    """sqrt(k!/(k+offset)!), exact; SqrtSum values are never mutated."""
+    return SqrtSum.sqrt(Fraction(math.factorial(k),
+                                 math.factorial(k + offset)))
+
+
 def quantize_monomial(a: int, b: int, s: int, epsilon: str,
                       N: int) -> TruncatedOperator:
     """Closed-form quantization of z^a zbar^b on sector (epsilon, s), exact.
@@ -111,9 +119,8 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
                       * math.factorial(n + a_eps + m) * math.factorial(a_meps + m)
                       // (math.factorial(m) * math.factorial(s - m)
                           * math.factorial(m + n) * math.factorial(a_meps - s + m)))
-        root = SqrtSum.sqrt(Fraction(math.factorial(n + s),
-                                     math.factorial(n + offset + s)))
-        band.append(ExactC(root * ((-1) ** s * total)))
+        band.append(ExactC(_factorial_root(n + s, offset)
+                           * ((-1) ** s * total)))
     return TruncatedOperator.from_exact({offset: band}, N, (offset, offset),
                                         (epsilon, s))
 
@@ -134,24 +141,29 @@ def default_rule(f, s: int, N: int) -> QuadratureRule:
     return rule_for(radial_degree, max_freq)
 
 
-def _radial_factors(s: int, N: int, u: np.ndarray) -> np.ndarray:
-    """sqrt(s!/(s+n)!) u^{n/2} L_s^(n)(u) for n < N at the nodes u: the phi
-    factor with e^{-u/2} and the sector sign (-1)^s, which cancel in every
-    product, taken out."""
+def _radial_pairs(s: int, N: int, u: np.ndarray) -> tuple:
+    """For each band offset |d| < N, the products e^u phi_{n;s} phi_{n+|d|;s}
+    at the nodes u, n < N - |d|, as complex rows ready for the angular
+    factors.  Each phi is the radial factor sqrt(s!/(s+n)!) u^{n/2}
+    L_s^(n)(u), with e^{-u/2} and the sector sign (-1)^s, which cancel in
+    every product, taken out."""
     logmag, sign = _log_phi(s, np.arange(N), u)
-    return sign * np.exp(logmag + 0.5 * u)
+    radial = sign * np.exp(logmag + 0.5 * u)
+    return tuple((radial[:N - d] * radial[d:]).astype(complex)
+                 for d in range(N))
 
 
 # verify's quantize suite reads 12 tables
 @functools.lru_cache(maxsize=64)
-def _shared_radial_factors(s: int, N: int, n_r: int) -> np.ndarray:
-    """The radial factors at the nodes of the shared n_r-point rule of
+def _shared_radial_pairs(s: int, N: int, n_r: int) -> tuple:
+    """The radial products at the nodes of the shared n_r-point rule of
     `gauss_laguerre_rule`, built once per process and read-only.  Only
     default rules read them: a caller's rule is never matched to a table by
     its size."""
-    table = _radial_factors(s, N, gauss_laguerre_rule(n_r).radial_nodes)
-    table.setflags(write=False)
-    return table
+    pairs = _radial_pairs(s, N, gauss_laguerre_rule(n_r).radial_nodes)
+    for row in pairs:
+        row.setflags(write=False)
+    return pairs
 
 
 def quantize_numeric(f, s: int, epsilon: str, N: int,
@@ -160,16 +172,16 @@ def quantize_numeric(f, s: int, epsilon: str, N: int,
     times the exact uniform angular grid.
 
     The radial factor of entry (n, n') is e^u phi_{n;s} phi_{n';s} at
-    |z|^2 = u, read from the log-magnitude table of `basis.phi_values`,
-    which a default rule builds once per process for each (s, N, n_r); the
-    entries are summed one band offset n' - n at a time, so the work arrays
-    hold O(N n_r) values.
+    |z|^2 = u, from the log-magnitude table of `basis.phi_values`; a
+    default rule builds these products once per process for each
+    (s, N, n_r).  The entries are summed one band offset n' - n at a time,
+    so the work arrays hold O(N n_r) values.
     """
     if rule is None:
         rule = default_rule(f, s, N)
-        radial = _shared_radial_factors(s, N, rule.radial_nodes.size)
+        pairs = _shared_radial_pairs(s, N, rule.radial_nodes.size)
     else:
-        radial = _radial_factors(s, N, rule.radial_nodes)
+        pairs = _radial_pairs(s, N, rule.radial_nodes)
     sgn = angular_phase_sign(epsilon)
     u = rule.radial_nodes
     theta = rule.angles()
@@ -181,8 +193,7 @@ def quantize_numeric(f, s: int, epsilon: str, N: int,
     phases = np.exp(-1j * sgn * np.outer(ds, theta))    # (2N-1, M)
     angular = rule.radial_weights * (phases @ fvals.T) / m_ang  # (2N-1, n_r)
 
-    bands = {d: (radial[:N - abs(d)] * radial[abs(d):]) @ angular[d + N - 1]
-             for d in ds.tolist()}
+    bands = {d: pairs[abs(d)] @ angular[d + N - 1] for d in ds.tolist()}
     return TruncatedOperator(N, bands, 1 - N, N - 1, (epsilon, s))
 
 

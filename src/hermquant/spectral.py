@@ -32,7 +32,7 @@ from .specfun import hyp3f2_terminating, pochhammer_exact
 class PolyExact:
     """Polynomial with exact coefficients (int or Fraction), ascending degree."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_integral")
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
@@ -41,6 +41,7 @@ class PolyExact:
         if not coeffs:
             coeffs = [0]
         self.coeffs = tuple(coeffs)
+        self._integral = None  # (D, D c_k from the top degree), on first call
 
     @property
     def degree(self) -> int:
@@ -64,11 +65,16 @@ class PolyExact:
         """The value at x, correctly rounded.  With x = p/q exactly and D the
         lcm of the coefficient denominators, the integer
         sum_k (D c_k) p^k q^(d-k) is divided by D q^d once."""
+        if self._integral is None:
+            big_d = math.lcm(*(c.denominator for c in self.coeffs))
+            self._integral = big_d, [c.numerator * (big_d // c.denominator)
+                                     for c in reversed(self.coeffs)]
+        big_d, scaled = self._integral
         p, q = x.as_integer_ratio()
-        big_d = math.lcm(*(c.denominator for c in self.coeffs))
-        acc = 0
-        for k, c in enumerate(reversed(self.coeffs)):
-            acc = acc * p + c.numerator * (big_d // c.denominator) * q ** k
+        acc, qk = 0, 1
+        for c in scaled:
+            acc = acc * p + c * qk
+            qk *= q
         return acc / (big_d * q ** self.degree)
 
 

@@ -25,6 +25,7 @@ _SEEDED_ROUNDS = 5
 # largest order seeded from dense estimates: the n x n seed stays <= 32 MB
 _SEED_MAX_N = 2048
 _FRACTIONS = np.arange(1, _SECTIONS) / _SECTIONS
+_TINY = np.finfo(float).tiny
 
 
 def sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray,
@@ -51,17 +52,21 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray,
     # shifts that are exact eigenvalues of leading principal minors.  peak[m]
     # is the largest squared off-diagonal of the m-section
     peak = np.concatenate(([0.0, 0.0], np.maximum.accumulate(off2)))
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, peak[sizes])
+    pivmin = _TINY * np.maximum(1.0, peak[sizes])
     neg_pivmin = -pivmin
     q = np.subtract(diag[0], xs)
     work = np.empty_like(q)
     mask = np.empty(q.shape, dtype=bool)
     count = np.zeros(q.shape, dtype=np.int64)
+    # for each m in ends, the first m shifts are those of the sections of
+    # order >= sizes[m - 1], from the shortest section's order up
+    starts = np.flatnonzero(sizes[:-1] != sizes[1:]) + 1
+    ends = [sizes.size] + starts[::-1].tolist() if sizes.size else []
     row = 0
     with np.errstate(over="ignore", divide="ignore"):
-        for stop in np.unique(sizes).tolist():
-            # rows row..stop-1 sweep the shifts of sections of order >= stop
-            m = int(np.count_nonzero(sizes >= stop))
+        for m in ends:
+            # rows row..stop-1 sweep the first m shifts
+            stop = int(sizes[m - 1])
             qv, wv, mv, cv = q[:m], work[:m], mask[:m], count[:m]
             xv, pv, nv = xs[:m], pivmin[:m], neg_pivmin[:m]
             for k in range(row, stop):

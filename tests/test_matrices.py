@@ -7,7 +7,7 @@ import pytest
 
 from hermquant import matrices
 from hermquant.exact import (SqrtSum, exact_matmul, exact_max_abs, exact_sub,
-                             sqrt_half)
+                             sqrt_half, to_complex_array)
 from hermquant.ladder import ladder_apply, left
 from hermquant.matrices import (TruncatedOperator, band_matvec, build_A_z,
                                 build_A_zbar, build_AH, build_Aq2, build_Hhat,
@@ -215,3 +215,18 @@ def test_truncated_operator_validation():
     op = build_Q(0, 4)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 5.0  # frozen storage
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 9])
+def test_to_complex_array_places_every_band(dim):
+    rng = np.random.default_rng(dim)
+    bands = {k: rng.standard_normal(dim - abs(k))
+             + 1j * rng.standard_normal(dim - abs(k))
+             for k in range(1 - dim, dim) if k % 3 != 1}
+    want = np.full((dim, dim), -0j)
+    for k, d in bands.items():
+        for t, x in enumerate(d):
+            want[t + max(0, -k), t + max(0, k)] = x
+    got = to_complex_array(bands, dim, -0j)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))

@@ -321,9 +321,9 @@ def test_default_rule_tables_are_shared_and_read_only():
     f = Monomial(2, 1)
     first = quantize_numeric(f, 2, "R", 9).entries
     n_r = default_rule(f, 2, 9).radial_nodes.size
-    table = quantize._shared_radial_factors(2, 9, n_r)
-    assert table is quantize._shared_radial_factors(2, 9, n_r)
-    assert not table.flags.writeable
+    pairs = quantize._shared_radial_pairs(2, 9, n_r)
+    assert pairs is quantize._shared_radial_pairs(2, 9, n_r)
+    assert not any(row.flags.writeable for row in pairs)
     assert np.array_equal(quantize_numeric(f, 2, "R", 9).entries, first)
 
 

@@ -474,8 +474,8 @@ def test_phi_guards_fail_for_a_wrong_factorial_prefactor(monkeypatch):
             quantize.lower_symbol(matrices.build_AH(0, 64), 0.5 + 0.5j, 0)
     # and past the radial tables the quantize suite has built already
     monkeypatch.setattr(quantize, "_log_phi", wrong)
-    monkeypatch.setattr(quantize, "_shared_radial_factors",
-                        quantize._shared_radial_factors.__wrapped__)
+    monkeypatch.setattr(quantize, "_shared_radial_pairs",
+                        quantize._shared_radial_pairs.__wrapped__)
     failed |= _failed("quantize")
     assert failed & PHI_GUARDS == PHI_GUARDS
 
