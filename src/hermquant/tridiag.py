@@ -47,6 +47,10 @@ def sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     sizes = (np.full(xs.shape, diag.size) if sizes is None
              else np.asarray(sizes))
+    if sizes.size and (sizes[0] > diag.size or sizes[-1] < 1
+                       or np.any(sizes[1:] > sizes[:-1])):
+        raise ValueError("section orders must not increase along the "
+                         f"shifts and must lie in 1..{diag.size}")
     off2 = off * off
     # pivmin at the underflow scale, as in LAPACK; a larger floor miscounts at
     # shifts that are exact eigenvalues of leading principal minors.  peak[m]

@@ -192,3 +192,10 @@ def test_sturm_counts_of_sections_equal_separate_sweeps():
     want = [tridiag.sturm_counts(diag[:m], off[:m - 1], [x])[0]
             for m, x in zip(sizes, xs)]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("sizes", ([3, 4], [5, 3], [2, 0]),
+                         ids=("increasing", "too-long", "empty-section"))
+def test_sturm_counts_reject_bad_section_orders(sizes):
+    with pytest.raises(ValueError, match="section orders"):
+        tridiag.sturm_counts(np.zeros(4), np.ones(3), [0.5, 0.5], sizes)
