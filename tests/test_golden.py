@@ -1,4 +1,5 @@
-"""Byte-for-byte guard on operator exports and the spectrum table.
+"""Byte-for-byte guard on operator exports, closed-form quantizations and the
+spectrum table.
 
 tests/data/golden_sha256.json holds the sha256 of the stdout of each CLI
 invocation below.  Rewrite it only for an intended change of output:
@@ -29,6 +30,14 @@ def operator_argvs(name: str, fmt: str) -> list:
             for eps in ("L", "R") for s in (0, 2) for dim in (1, 2, 7, 60)]
 
 
+def quantize_argvs() -> list:
+    return [["quantize", "--method", "closed", "--a", str(a), "--b", str(b),
+             "--s", str(s), "--epsilon", eps, "--dim", "12",
+             "--format", "csv"]
+            for s in (0, 2, 5) for eps in ("L", "R")
+            for a in range(5) for b in range(5 - a)]
+
+
 def table_argv(dim: int) -> list:
     return ["physics", "table", "--s-max", "4", "--dim", str(dim),
             "--format", "csv"]
@@ -37,7 +46,7 @@ def table_argv(dim: int) -> list:
 def all_argvs() -> list:
     out = [a for name in OPERATORS for fmt in FORMATS
            for a in operator_argvs(name, fmt)]
-    return out + [table_argv(8), table_argv(200)]
+    return out + quantize_argvs() + [table_argv(8), table_argv(200)]
 
 
 def stdout_sha256(argv: list) -> str:
@@ -61,6 +70,10 @@ def _mismatches(argvs: list) -> list:
 @pytest.mark.parametrize("name", OPERATORS)
 def test_operator_export_bytes(name, fmt):
     assert _mismatches(operator_argvs(name, fmt)) == []
+
+
+def test_closed_form_quantization_bytes():
+    assert _mismatches(quantize_argvs()) == []
 
 
 @pytest.mark.parametrize("dim", [8, 200])
