@@ -7,9 +7,11 @@ A function f(z, zbar) is sent to the operator with matrix elements
         * (1/2pi) int_0^2pi dtheta e^{+-i(n-n')theta} F(u, theta)
 
 with F(u, theta) = f(sqrt(u) e^{i theta}, .) and the '+' phase on the L
-sector.  Monomials z^a zbar^b admit a closed finite-sum form supported on the
-single band n - n' = eps(b - a); everything else is integrated by the exact
-polar quadrature of `quadrature`.
+sector.  For a monomial z^a zbar^b the angular integral keeps the single
+band n - n' = eps(b - a), and the radial one is the two-Laguerre integral
+`laguerre_integral`, an integer sum of factorials computed exactly;
+`laguerre_integral_quadrature` is its Gauss-Laguerre check.  Everything else
+is integrated by the exact polar quadrature of `quadrature`.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .basis import _log_phi, cs_coefficients
-from .errors import HintViolation, PoleError
+from .errors import HintViolation
 from .exact import ExactC, SqrtSum
 from .matrices import TruncatedOperator, band_matvec, eps_sign
 from .quadrature import QuadratureRule, gauss_laguerre_rule, rule_for
-from .specfun import laguerre
+from .specfun import laguerre_many
 
 
 def angular_phase_sign(epsilon: str) -> int:
@@ -94,33 +96,26 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
     """Closed-form quantization of z^a zbar^b on sector (epsilon, s), exact.
 
     Entries live on the single band n - n' = eps(b-a) (eps = +1 for L) and
-    are the finite sums
+    are the two-Laguerre integrals
 
-      (-1)^s sqrt((n+s)!/(n'+s)!) sum_{m=sup(0, s-a_-eps)}^{s} (-1)^m
-          (n+a_eps+m)! (a_-eps+m)! / (m! (s-m)! (m+n)! (a_-eps-s+m)!)
+      s!/sqrt((n+s)!(n'+s)!) int_0^inf u^lam e^{-u} L_s^(n)(u) L_s^(n')(u) du
 
-    with a_+ = a and a_- = b for 'L', swapped for 'R'.  The sum is an
-    integer and the root an exact SqrtSum, so the band is held as ExactC
-    values and each float is rounded from its exact value.
+    with lam = (n+n'+a+b)/2, an integer on the band.  `laguerre_integral`
+    gives s!^2 times the integral as an integer J, and J/(s!(n+s)!) is an
+    integer, so each entry is sqrt((n+s)!/(n'+s)!) times an integer: an
+    exact SqrtSum.  The band is held as ExactC values and each float is
+    rounded from its exact value.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if a < 0 or b < 0:
         raise ValueError("exponents must be nonnegative")
-    sgn = -eps_sign(epsilon)  # +1 for L, -1 for R
-    a_eps = a if sgn == 1 else b
-    a_meps = b if sgn == 1 else a
     offset = _band_offset(a, b, epsilon)
-    band = []
-    for n in range(max(0, -offset), N - max(0, offset)):
-        total = 0
-        for m in range(max(0, s - a_meps), s + 1):
-            total += ((-1) ** m
-                      * math.factorial(n + a_eps + m) * math.factorial(a_meps + m)
-                      // (math.factorial(m) * math.factorial(s - m)
-                          * math.factorial(m + n) * math.factorial(a_meps - s + m)))
-        band.append(ExactC(_factorial_root(n + s, offset)
-                           * ((-1) ** s * total)))
+    band = [ExactC(_factorial_root(n + s, offset)
+                   * (laguerre_integral(n + (offset + a + b) // 2, n,
+                                        n + offset, s, s)
+                      // (math.factorial(s) * math.factorial(n + s))))
+            for n in range(max(0, -offset), N - max(0, offset))]
     return TruncatedOperator.from_exact({offset: band}, N, (offset, offset),
                                         (epsilon, s))
 
@@ -210,85 +205,35 @@ def lower_symbol(A: TruncatedOperator, z, s: int, epsilon: str = "L",
     return out if out.ndim else complex(out)
 
 
-def _falling_product(base: float, count: int) -> float:
-    """Product (base - 1)(base - 2)...(base - count); PoleError on zero."""
-    out = 1.0
-    for k in range(1, count + 1):
-        f = base - k
-        if f == 0:
-            raise PoleError("closed form pole: beta - lambda hits a positive "
-                            "integer inside the summation range")
-        out *= f
-    return out
+def _scaled_laguerre_coeffs(r: int, alpha: int) -> list:
+    """Coefficients of x^i in r! L_r^(alpha)(x): (-1)^i C(r, i)
+    (alpha+r)!/(alpha+i)!, integers for integer alpha >= 0."""
+    return [(-1) ** i * math.comb(r, i) * math.perm(alpha + r, r - i)
+            for i in range(r + 1)]
 
 
-def laguerre_integral(lam: float, alpha: float, beta: float, r: int,
-                      s: int) -> float:
-    """int_0^inf x^lam e^{-x} L_r^(alpha)(x) L_s^(beta)(x) dx, lam > -1.
+def laguerre_integral(lam: int, alpha: int, beta: int, r: int, s: int) -> int:
+    """r! s! int_0^inf x^lam e^{-x} L_r^(alpha)(x) L_s^(beta)(x) dx, exactly,
+    for nonnegative integer arguments.
 
-    Evaluates the terminating-hypergeometric closed form with the prefactor
-    Pochhammer (beta-lam)_s folded into the sum term by term, which keeps the
-    expression finite where the raw 3F2 has a pole cancelled by a vanishing
-    prefactor.  Genuine poles (beta - lam a positive integer <= r - s) raise
-    PoleError; `laguerre_integral_swapped` then usually applies.
+    Both scaled polynomials have integer coefficients c_i and d_k, and x^m
+    integrates to m!, so the value is the integer
+    sum_{i,k} c_i d_k (lam+i+k)!.
     """
-    if lam <= -1:
-        raise ValueError("need lam > -1 for convergence")
-    mu = beta - lam
-    pref = math.gamma(lam + 1.0) / (math.factorial(r) * math.factorial(s))
-    for j in range(r + 1):
-        if alpha + 1 + j == 0:
-            raise PoleError("(alpha+1)_j vanishes inside the summation range")
-    total = 0.0
-    term_core = 1.0  # (-r)_j (lam+1)_j (lam+1-beta)_j / ((alpha+1)_j j!)
-    for j in range(r + 1):
-        if j > 0:
-            term_core *= ((-r + j - 1) * (lam + j) * (lam - beta + j)
-                          / ((alpha + j) * j))
-        if j <= s:
-            cj = 1.0
-            for i in range(s - j):
-                cj *= mu + i
-            cj *= (-1) ** j
-        else:
-            cj = (-1) ** j / _falling_product(mu, j - s)
-        total += term_core * cj
-    poch_alpha = 1.0
-    for i in range(r):
-        poch_alpha *= 1 + alpha + i
-    return pref * poch_alpha * total
+    if not all(isinstance(v, int) and v >= 0
+               for v in (lam, alpha, beta, r, s)):
+        raise ValueError("laguerre_integral needs nonnegative integers")
+    c, d = _scaled_laguerre_coeffs(r, alpha), _scaled_laguerre_coeffs(s, beta)
+    return sum(ci * dk * math.factorial(lam + i + k)
+               for i, ci in enumerate(c) for k, dk in enumerate(d))
 
 
-def laguerre_integral_swapped(lam: float, alpha: float, beta: float, r: int,
-                              s: int) -> float:
-    """Same integral through the symmetric closed form with the roles of
-    (r, alpha) and (s, beta) exchanged."""
-    return laguerre_integral(lam, beta, alpha, s, r)
-
-
-def laguerre_integral_quadrature(lam: float, alpha: float, beta: float,
-                                 r: int, s: int,
-                                 n_r: int | None = None) -> float:
-    """Gauss-Laguerre oracle for the same integral (exact for integer lam)."""
-    if n_r is None:
-        n_r = (r + s + max(0, math.ceil(lam))) // 2 + 12
-    rule = gauss_laguerre_rule(n_r)
+def laguerre_integral_quadrature(lam: int, alpha: int, beta: int, r: int,
+                                 s: int) -> float:
+    """The unscaled integral of `laguerre_integral` by Gauss-Laguerre, on
+    the ceil((r+s+lam+1)/2) nodes that integrate its degree r+s+lam
+    exactly."""
+    rule = gauss_laguerre_rule((r + s + lam + 2) // 2)
     u = rule.radial_nodes
-    vals = u ** lam * laguerre(r, alpha, u) * laguerre(s, beta, u)
+    vals = u ** lam * laguerre_many(r, alpha, u) * laguerre_many(s, beta, u)
     return float(np.dot(rule.radial_weights, vals))
-
-
-def laguerre_integral_moments(lam: float, alpha: float, beta: float,
-                              r: int, s: int) -> float:
-    """Moment-expansion oracle: expand both polynomials in coefficients and
-    integrate term by term with Gamma(lam + i + k + 1); valid for any real
-    lam > -1."""
-    from .specfun import laguerre_coeffs
-
-    cr = [float(c) for c in laguerre_coeffs(r, alpha)]
-    cs = [float(c) for c in laguerre_coeffs(s, beta)]
-    total = 0.0
-    for i, ci in enumerate(cr):
-        for k, ck in enumerate(cs):
-            total += ci * ck * math.gamma(lam + i + k + 1.0)
-    return total

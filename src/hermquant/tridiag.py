@@ -8,7 +8,12 @@ the rows are swept once for all of them, largest section first, and each
 count stops at its own section's last row.  Up to order 2048 the brackets
 start narrow: dense LAPACK estimates, each widened to 2^-45 of the span,
 need 5 rounds where a Gershgorin bracket needs 20, and the first round's
-sweep also takes the Sturm counts at their ends that certify them.
+sweep also takes the Sturm counts at their ends that certify them.  The
+float Sturm counts are rounded: each is exact for a matrix within a few
+u*||T|| of T (u = 2^-53), so that backward error, and not the bracket
+width, bounds an eigenvalue's error (Demmel, Applied Numerical Linear
+Algebra, section 5.3).  Against exact integer counts the Jacobi matrices of
+Q come out up to 1.84 ulp off, and 10 ulp for an eigenvalue near 0.
 Golub-Welsch weights come from the three-term recurrence at those nodes.
 Everything is deterministic: fixed round counts, no randomness."""
 
@@ -134,10 +139,11 @@ def section_eigenvalues(diag: np.ndarray, off: np.ndarray, sizes) -> list:
     follows from its widest start: 5 rounds when every seed is certified,
     else 20.  Either way each bracket ends 2^-60 of the Gershgorin span
     wide, below one ulp of the largest eigenvalue in magnitude, so the
-    Sturm counts and not the estimates or the round limit set the accuracy.
-    The returned values are the bracket midpoints.  Each section keeps its
-    own start, rounds and pivmin, so its spectrum is bit for bit that of a
-    call with it alone.
+    Sturm counts and not the estimates or the round limit set the accuracy:
+    a backward error of a few u*||T|| (see the module docstring), since
+    the float counts are rounded.  The returned values are the bracket
+    midpoints.  Each section keeps its own start, rounds and pivmin, so its
+    spectrum is bit for bit that of a call with it alone.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)

@@ -19,7 +19,6 @@ from . import (__version__, basis, ladder, matrices, physics, quantize,
                spectral)
 from .basis import kernel, kernel_s1_closed, normalization, \
     normalization_series, reproduce
-from .errors import PoleError
 from .exact import exact_max_abs, exact_sub
 from .quadrature import gauss_laguerre_rule, grid_points
 from .report import worst_case
@@ -284,21 +283,14 @@ def suite_quantize(seed: int = 20240902) -> list:
             for z, v in zip(zs, quantize.lower_symbol(aq2, np.array(zs), 2)
                             .tolist()))))
 
-    def route_spread(lam, al, be, r, s):
-        vals = []
-        for route in (quantize.laguerre_integral,
-                      quantize.laguerre_integral_swapped):
-            try:
-                vals.append(route(lam, al, be, r, s))
-            except PoleError:
-                pass  # each form has its own pole set; the partner covers it
-        vals.append(quantize.laguerre_integral_quadrature(lam, al, be, r, s, 40))
-        vals.append(quantize.laguerre_integral_moments(lam, al, be, r, s))
-        # numpy's ptp and max keep a NaN that Python's max and min drop
-        return float(np.ptp(vals)) / max(1.0, float(np.abs(vals).max()))
+    def route_residual(lam, al, be, r, s):
+        exact = (quantize.laguerre_integral(lam, al, be, r, s)
+                 / (math.factorial(r) * math.factorial(s)))
+        quad = quantize.laguerre_integral_quadrature(lam, al, be, r, s)
+        return abs(exact - quad) / max(1.0, abs(exact))
 
     checks.append(worst_case("quantize.two_laguerre_integral_routes", 1e-9, (
-        (route_spread(*p), "lam={} alpha={} beta={} r={} s={}".format(*p))
+        (route_residual(*p), "lam={} alpha={} beta={} r={} s={}".format(*p))
         for p in ((2, 1, 1, 2, 3), (0, 1, 1, 4, 4), (3, 2, 0, 3, 5),
                   (1, 0, 2, 5, 2)))))
     return checks

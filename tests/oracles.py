@@ -1,8 +1,11 @@
 """Independent reference computations used only by the test suite."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from hermquant.exact import ExactC, SqrtSum
 
 
 def charpoly_faddeev(n: int, s: int) -> list:
@@ -50,3 +53,32 @@ def quad2d_gauss(f, radial_nodes, radial_weights, m_angular: int) -> complex:
         vals = [f(r * np.exp(1j * th)) for th in thetas]
         total += w * (sum(vals) / m_angular)
     return total
+
+
+def monomial_band(a: int, b: int, s: int, epsilon: str, N: int) -> dict:
+    """Exact bands {offset: [ExactC]} of the quantized z^a zbar^b on the
+    N-section of sector (epsilon, s), from the finite sum
+
+      (-1)^s sqrt((n+s)!/(n'+s)!) sum_{m=max(0, s-a_-)}^{s} (-1)^m
+          (n+a_+ +m)! (a_- +m)! / (m! (s-m)! (m+n)! (a_- -s+m)!)
+
+    with a_+ = a and a_- = b for 'L', swapped for 'R'; the band n' - n is
+    a - b for 'L' and b - a for 'R'.  Written apart from the two-Laguerre
+    integral that the package reads."""
+    sgn = 1 if epsilon == "L" else -1
+    a_p, a_m = (a, b) if sgn == 1 else (b, a)
+    offset = sgn * (a - b)
+    if abs(offset) >= N:
+        return {}
+    band = []
+    for n in range(max(0, -offset), N - max(0, offset)):
+        total = sum((-1) ** m * math.factorial(n + a_p + m)
+                    * math.factorial(a_m + m)
+                    // (math.factorial(m) * math.factorial(s - m)
+                        * math.factorial(m + n)
+                        * math.factorial(a_m - s + m))
+                    for m in range(max(0, s - a_m), s + 1))
+        root = SqrtSum.sqrt(Fraction(math.factorial(n + s),
+                                     math.factorial(n + s + offset)))
+        band.append(ExactC(root * ((-1) ** s * total)))
+    return {offset: band}

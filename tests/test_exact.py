@@ -138,6 +138,13 @@ def test_sqrtsum_mixes_with_plain_rationals(a, b, r):
     assert (SqrtSum(a) == b) == (a == b)
 
 
+def test_sqrtsum_sqrt_of_zero_is_zero():
+    for zero in (0, Fraction(0)):
+        root = SqrtSum.sqrt(zero)
+        assert root.terms == {} and not root and root == SqrtSum(0)
+        assert float(root) == 0.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(recipes, recipes, recipes, recipes)
 def test_exactc_matches_fraction_reference(r1, i1, r2, i2):

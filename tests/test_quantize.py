@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from hermquant.basis import BasisLabel, phi
-from hermquant.errors import HintViolation, PoleError, TailError
+from hermquant.errors import HintViolation, TailError
 from hermquant.exact import exact_max_abs, exact_sub
 from hermquant.matrices import build_A_z, build_A_zbar, build_AH, build_Aq2
 from hermquant.quadrature import QuadratureRule, gauss_laguerre_rule
 from hermquant.quantize import (Monomial, Sampled, angular_phase_sign,
                                 default_rule, laguerre_integral,
-                                laguerre_integral_moments,
-                                laguerre_integral_quadrature,
-                                laguerre_integral_swapped, lower_symbol,
+                                laguerre_integral_quadrature, lower_symbol,
                                 quantize_monomial, quantize_numeric)
 from hermquant.tridiag import golub_welsch
 
-from oracles import quad2d_gauss
+from oracles import monomial_band, quad2d_gauss
 
 
 def test_gauss_laguerre_single_node():
@@ -259,60 +257,86 @@ def test_lower_symbol_dimension_guard():
 
 
 def test_laguerre_integral_orthogonality_reduction():
-    for alpha in (0.0, 1.0, 2.0):
+    # int x^alpha e^{-x} L_m^(alpha) L_n^(alpha) = delta_mn (n+alpha)!/n!,
+    # scaled by m! n!
+    for alpha in (0, 1, 2):
         for m in range(5):
             for n in range(5):
-                got = laguerre_integral(alpha, alpha, alpha, m, n)
-                want = (math.gamma(1 + alpha) * math.comb(n + int(alpha), n)
-                        if m == n else 0.0)
-                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+                want = (math.factorial(n) * math.factorial(n + alpha)
+                        if m == n else 0)
+                assert laguerre_integral(alpha, alpha, alpha, m, n) == want
 
 
 def test_laguerre_integral_trivial_case():
-    for lam in (0.0, 0.5, 2.3):
-        assert laguerre_integral(lam, 1.7, 0.4, 0, 0) == pytest.approx(
-            math.gamma(lam + 1.0), rel=1e-13)
+    for lam in (0, 3, 7):
+        assert laguerre_integral(lam, 1, 4, 0, 0) == math.factorial(lam)
 
 
 def test_laguerre_integral_single_polynomial_reduction():
-    lam, alpha = 0.7, 2.3
-    for r in range(6):
-        got = laguerre_integral(lam, alpha, 5.0, r, 0)
-        want = (math.gamma(lam + 1) * math.gamma(alpha - lam + r)
-                / (math.factorial(r) * math.gamma(alpha - lam)))
-        assert got == pytest.approx(want, rel=1e-10)
+    # r! int x^lam e^{-x} L_r^(alpha) = lam! (alpha - lam)_r, a polynomial
+    # in alpha, so it holds for alpha below lam as well
+    for lam in (1, 3):
+        for alpha in (0, 2, 5):
+            for r in range(6):
+                want = math.factorial(lam) * math.prod(
+                    alpha - lam + j for j in range(r))
+                assert laguerre_integral(lam, alpha, 5, r, 0) == want
 
 
 def test_laguerre_integral_prefactor_pole_cancellation():
-    # the raw closed form is 0 * inf here; the folded sum gives the right -12
-    assert laguerre_integral(2.0, 1.0, 1.0, 2, 3) == pytest.approx(-12.0,
-                                                                   abs=1e-9)
-    assert laguerre_integral_quadrature(2.0, 1.0, 1.0, 2, 3) == pytest.approx(
-        -12.0, abs=1e-9)
+    # the terminating-3F2 form of this integral is 0 * inf here; the integer
+    # sum has no pole and gives -12 = -144 / (2! 3!)
+    assert laguerre_integral(2, 1, 1, 2, 3) == -144
+    assert laguerre_integral_quadrature(2, 1, 1, 2, 3) == pytest.approx(
+        -12.0, abs=1e-12)
+
+
+INTEGER_CASES = ((2, 1, 1, 2, 3), (0, 1, 1, 4, 4), (3, 2, 0, 3, 5),
+                 (1, 0, 2, 5, 2), (4, 2, 6, 3, 1), (5, 0, 3, 6, 2),
+                 (0, 0, 0, 0, 0))
+
+
+def _unscaled(lam, alpha, beta, r, s) -> float:
+    return (laguerre_integral(lam, alpha, beta, r, s)
+            / (math.factorial(r) * math.factorial(s)))
 
 
 def test_laguerre_integral_routes_agree():
-    for (lam, al, be, r, s) in ((1.5, 0.3, 2.2, 3, 2), (0.0, 1.0, 1.0, 4, 4),
-                                (2.0, 0.5, 1.5, 2, 5), (0.7, 3.1, 0.2, 6, 3)):
-        v1 = laguerre_integral(lam, al, be, r, s)
-        v2 = laguerre_integral_swapped(lam, al, be, r, s)
-        v4 = laguerre_integral_moments(lam, al, be, r, s)
-        scale = max(1.0, abs(v1))
-        assert abs(v1 - v2) <= 1e-9 * scale
-        assert abs(v1 - v4) <= 1e-9 * scale
+    for case in INTEGER_CASES:
+        exact = _unscaled(*case)
+        got = laguerre_integral_quadrature(*case)
+        assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
-def test_laguerre_integral_pole_and_swap_fallback():
-    with pytest.raises(PoleError):
-        laguerre_integral(0.0, 0.5, 1.0, 2, 0)
-    v = laguerre_integral_swapped(0.0, 0.5, 1.0, 2, 0)
-    assert v == pytest.approx(laguerre_integral_moments(0.0, 0.5, 1.0, 2, 0),
-                              rel=1e-12)
+def test_quadrature_route_needs_every_node(monkeypatch):
+    # ceil((r+s+lam+1)/2) nodes integrate the degree r+s+lam exactly; one
+    # fewer does not, so the route carries no spare nodes
+    from hermquant import quantize
+
+    rule = quantize.gauss_laguerre_rule
+    monkeypatch.setattr(quantize, "gauss_laguerre_rule",
+                        lambda n_r: rule(n_r - 1))
+    for case in INTEGER_CASES[:-1]:  # the last case has a single node
+        exact = _unscaled(*case)
+        got = laguerre_integral_quadrature(*case)
+        assert abs(got - exact) > 1e-6 * max(1.0, abs(exact))
 
 
 def test_laguerre_integral_domain_guard():
-    with pytest.raises(ValueError):
-        laguerre_integral(-1.5, 1.0, 1.0, 1, 1)
+    for args in ((-1, 1, 1, 1, 1), (2, -1, 0, 1, 1), (2, 0, 0, -1, 1),
+                 (1.5, 1, 1, 1, 1), (2, 0.5, 1, 2, 0), (2.0, 1, 1, 2, 3)):
+        with pytest.raises(ValueError):
+            laguerre_integral(*args)
+
+
+@pytest.mark.parametrize("N", [1, 12, 60])
+def test_monomial_bands_equal_the_integer_sum_oracle(N):
+    for s in range(7):
+        for eps in ("L", "R"):
+            for a in range(5):
+                for b in range(5):
+                    assert (quantize_monomial(a, b, s, eps, N).exact
+                            == monomial_band(a, b, s, eps, N))
 
 
 def test_default_rule_tables_are_shared_and_read_only():

@@ -185,6 +185,12 @@ def test_hyp3f2_pole_detection():
     hyp3f2_terminating(-3, 1.0, 1.0, -3.5, 1.5)
 
 
+def test_hyp3f2_rejects_a_non_terminating_first_parameter():
+    for a1 in (1, 3, -0.5, Fraction(-5, 2)):
+        with pytest.raises(ValueError, match="nonpositive integer"):
+            hyp3f2_terminating(a1, 1.0, 1.0, 2.0, 1.5)
+
+
 def test_complex_hermite_constant():
     assert complex_hermite(0, 0, 0.7 - 0.2j) == 1.0
 

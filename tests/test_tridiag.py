@@ -108,6 +108,30 @@ def test_wrong_seeds_fall_back_to_gershgorin(monkeypatch, wrong, matrix):
     assert np.abs(got - seeded).max() <= 2.0 ** -58 * _span(diag, off)
 
 
+@pytest.mark.parametrize("sizes", ([40], [40, 25]))
+def test_one_wrong_seed_per_section_takes_the_full_rounds(monkeypatch, sizes):
+    # one failed certificate is enough to send its whole section to 20
+    # rounds; with 5 the restarted root would end 8^-5 of the span wide
+    diag, off = np.zeros(40), np.sqrt((np.arange(1, 40) + 1) / 2.0)
+    estimates = tridiag._estimates
+
+    def one_wrong(d, o):
+        est = estimates(d, o)
+        est[d.size // 3] += 0.5
+        return est
+
+    monkeypatch.setattr(tridiag, "_estimates", one_wrong)
+    calls = _counting_sweeps(monkeypatch)
+    got = (tridiag.section_eigenvalues(diag, off, sizes) if len(sizes) > 1
+           else [eigenvalues(diag, off)])
+    n = sum(sizes)
+    assert calls == [9 * n, 7 * len(sizes)] + [7 * n] * 19
+    for m, ev in zip(sizes, got):
+        ref = np.linalg.eigvalsh(np.diag(off[:m - 1], 1)
+                                 + np.diag(off[:m - 1], -1))
+        assert np.abs(ev - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_no_dense_seed_above_the_cap(monkeypatch):
     diag, off = np.zeros(17), np.sqrt(np.arange(1, 17) / 2.0)
     seeded = eigenvalues(diag, off)

@@ -697,6 +697,22 @@ def test_dual_representation_fails_without_the_k_factorial(monkeypatch):
     assert not check.passed and check.max_residual > 0.1
 
 
+def test_quantize_checks_fail_for_a_dropped_integral_term(monkeypatch):
+    from hermquant import quantize
+
+    names = {"quantize.two_laguerre_integral_routes",
+             "quantize.closed_form_vs_integral"}
+    assert not {c.name for c in verify.suite_quantize()
+                if not c.passed} & names
+    # the top power of L_r^(alpha) left out of the double sum; the closed
+    # form reads the same integral for every band entry
+    monkeypatch.setattr(quantize, "laguerre_integral", _mutant(
+        quantize, "laguerre_integral", "enumerate(c)", "enumerate(c[:-1])"))
+    failed = {c.name: c for c in verify.suite_quantize() if not c.passed}
+    assert names <= set(failed)
+    assert all(failed[name].max_residual > 0.1 for name in names)
+
+
 def test_quantization_oracle_fails_for_a_flipped_angular_phase(monkeypatch):
     from hermquant import quantize
 
