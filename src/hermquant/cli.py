@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from .errors import HintViolation, NonConvergence, PoleError, TailError
+from .errors import HintViolation, NonConvergence, TailError
 
 # the --suite choices besides "all"; a test pins them to verify.SUITES
 SUITE_NAMES = ("basis", "ladder", "nlpb", "quantize", "spectral", "physics")
@@ -561,8 +561,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, IndexError, OverflowError, PoleError,
-            NonConvergence, HintViolation, TailError) as exc:
+    except (ValueError, KeyError, IndexError, OverflowError, NonConvergence,
+            HintViolation, TailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

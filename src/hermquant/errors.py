@@ -1,11 +1,6 @@
 """Shared exception types."""
 
 
-class PoleError(ArithmeticError):
-    """A denominator Pochhammer symbol vanishes inside a terminating
-    hypergeometric sum, so the requested closed form is undefined."""
-
-
 class NonConvergence(RuntimeError):
     """An adaptive series or iterative solver did not reach its tail/residual
     target within the configured budget."""

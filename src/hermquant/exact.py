@@ -7,8 +7,13 @@ exactly zero instead of "below tolerance".
 
 A coefficient q is stored as an int whenever it is integral and as a
 Fraction only where a denominator remains: int arithmetic is about a hundred
-times cheaper than Fraction arithmetic, and most ladder weights are integral
-multiples of a square root.
+times cheaper than Fraction arithmetic.  Ladder weights are integral
+multiples of a square root, and the Jacobi operators of `matrices`, whose
+weights sqrt((k+s)/2) each carry a 1/2, are held at twice their value, so
+their identity checks build no Fraction.  Fractions remain where a value has
+a denominator of its own: the SI commutator of `physics` (rationals of two
+floats), the factorial roots of `quantize` and the 1/k! of the nlpb checks
+in `ladder`.
 """
 
 from __future__ import annotations
@@ -261,11 +266,6 @@ class ExactC:
 
     def __repr__(self):
         return f"({self.re!r}) + ({self.im!r})i"
-
-
-def sqrt_half(k: int) -> SqrtSum:
-    """sqrt(k/2) as an exact value; the ubiquitous Jacobi entry."""
-    return SqrtSum.sqrt(Fraction(k, 2))
 
 
 # A band matrix is a dict {offset k: diagonal j - i = k}; the diagonal of an

@@ -170,9 +170,10 @@ def build_physical_AH(params: PhysicalParams, s: int, N: int):
     if not finite:
         raise ValueError(f"at ell = {params.ell:.6g} the kinetic and "
                          f"potential coefficients leave the float range")
-    p2, q2 = (TruncatedOperator.from_exact(exact_matmul(x, x), N,
-                                           (-2, 2)).bands
-              for x in (build_P(s, N + 2).exact, build_Q(s, N + 2).exact))
+    p2, q2 = (TruncatedOperator.from_exact(exact_matmul(x.exact, x.exact),
+                                           N, (-2, 2),
+                                           scale=x.exact_scale ** 2).bands
+              for x in (build_P(s, N + 2), build_Q(s, N + 2)))
     bands = {k: kin * p2[k] + pot * q2[k] for k in q2}
     bands[0] += pref * (2 * s + 1)
     bands[0][0] += pref * s

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -100,22 +101,29 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
 
       s!/sqrt((n+s)!(n'+s)!) int_0^inf u^lam e^{-u} L_s^(n)(u) L_s^(n')(u) du
 
-    with lam = (n+n'+a+b)/2, an integer on the band.  `laguerre_integral`
-    gives s!^2 times the integral as an integer J, and J/(s!(n+s)!) is an
-    integer, so each entry is sqrt((n+s)!/(n'+s)!) times an integer: an
-    exact SqrtSum.  The band is held as ExactC values and each float is
-    rounded from its exact value.
+    with lam = (n+n'+a+b)/2, an integer on the band.  The two-Laguerre
+    integral of `laguerre_integral` gives s!^2 times the integral as an
+    integer J, and J/(s!(n+s)!) is an integer, so each entry is
+    sqrt((n+s)!/(n'+s)!) times an integer: an exact SqrtSum.  The scaled
+    coefficient row of each L_s^(n) and one factorial table are built once
+    per band.  The band is held as ExactC values and each float is rounded
+    from its exact value.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if a < 0 or b < 0:
         raise ValueError("exponents must be nonnegative")
     offset = _band_offset(a, b, epsilon)
+    ns = range(max(0, -offset), N - max(0, offset))
+    shift = (offset + a + b) // 2
+    rows = {alpha: _scaled_laguerre_coeffs(s, alpha)
+            for alpha in {*ns, *(n + offset for n in ns)}}
+    fact = _factorials(max(ns, default=0) + shift + 2 * s)
     band = [ExactC(_factorial_root(n + s, offset)
-                   * (laguerre_integral(n + (offset + a + b) // 2, n,
-                                        n + offset, s, s)
-                      // (math.factorial(s) * math.factorial(n + s))))
-            for n in range(max(0, -offset), N - max(0, offset))]
+                   * (_row_integral(n + shift, rows[n], rows[n + offset],
+                                    fact)
+                      // (fact[s] * fact[n + s])))
+            for n in ns]
     return TruncatedOperator.from_exact({offset: band}, N, (offset, offset),
                                         (epsilon, s))
 
@@ -212,6 +220,24 @@ def _scaled_laguerre_coeffs(r: int, alpha: int) -> list:
             for i in range(r + 1)]
 
 
+def _factorials(n: int) -> list:
+    """[0!, 1!, ..., n!]."""
+    out = [1]
+    for k in range(1, n + 1):
+        out.append(out[-1] * k)
+    return out
+
+
+def _row_integral(lam: int, c: list, d: list, fact: list) -> int:
+    """sum_{i,k} c_i d_k (lam+i+k)!: the product polynomial of the rows c
+    and d, dotted with the factorials from lam! on."""
+    prod = [0] * (len(c) + len(d) - 1)
+    for i, ci in enumerate(c):
+        for k, dk in enumerate(d, i):
+            prod[k] += ci * dk
+    return sum(map(operator.mul, prod, fact[lam:]))
+
+
 def laguerre_integral(lam: int, alpha: int, beta: int, r: int, s: int) -> int:
     """r! s! int_0^inf x^lam e^{-x} L_r^(alpha)(x) L_s^(beta)(x) dx, exactly,
     for nonnegative integer arguments.
@@ -223,9 +249,9 @@ def laguerre_integral(lam: int, alpha: int, beta: int, r: int, s: int) -> int:
     if not all(isinstance(v, int) and v >= 0
                for v in (lam, alpha, beta, r, s)):
         raise ValueError("laguerre_integral needs nonnegative integers")
-    c, d = _scaled_laguerre_coeffs(r, alpha), _scaled_laguerre_coeffs(s, beta)
-    return sum(ci * dk * math.factorial(lam + i + k)
-               for i, ci in enumerate(c) for k, dk in enumerate(d))
+    return _row_integral(lam, _scaled_laguerre_coeffs(r, alpha),
+                         _scaled_laguerre_coeffs(s, beta),
+                         _factorials(lam + r + s))
 
 
 def laguerre_integral_quadrature(lam: int, alpha: int, beta: int, r: int,

@@ -1,11 +1,15 @@
-"""Scalar special functions: Pochhammer symbols, generalized Laguerre
-polynomials, terminating 3F2 sums, and the two-index Hermite polynomials
-h^{r,s}(z, zbar) in their two standard representations.
+"""Scalar special functions: generalized Laguerre polynomials and the
+two-index Hermite polynomials h^{r,s}(z, zbar) in their two standard
+representations.
 
-Everything here is a pure function.  Coefficients (Pochhammer symbols,
-binomials, Laguerre coefficients, 3F2 sums) have one exact path, in
-int/Fraction arithmetic, with a float parameter taken at its exact binary
-value; the float evaluators convert them or run a three-term recurrence.
+Everything here is a pure function.  Coefficients (binomials, Laguerre
+coefficients) have one exact path, in int/Fraction arithmetic, with a float
+parameter taken at its exact binary value; the float evaluators convert them
+or run a three-term recurrence.  `laguerre_many`, the recurrence over arrays
+of alpha and x, serves every float reader but `basis.kernel`, the last
+reader of the scalar `laguerre`.  The Hermite double sum and its Laguerre
+form also have exact integer paths that round once.  The terminating 3F2
+sums of the Laguerre factorizations run on integers in `spectral`.
 """
 
 from __future__ import annotations
@@ -16,22 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PoleError
-
 # Above this degree the alternating finite sum loses digits and the stable
 # three-term recurrence takes over.  Measured worst relative error of the sum
 # at x <= 60: 7e-13 (s=8), 9e-10 (s=12), 2e-7 (s=16); the recurrence stays at
 # a few ulps for every degree tested.
 _RECURRENCE_DEGREE = 6
-
-
-def pochhammer_exact(a, k: int):
-    """Rising factorial with int/Fraction arithmetic."""
-    out = Fraction(1)
-    a = Fraction(a)
-    for i in range(k):
-        out *= a + i
-    return out if out.denominator != 1 else out.numerator
 
 
 def log_factorial(n: int) -> float:
@@ -104,31 +97,6 @@ def laguerre_many(s: int, alphas, x) -> np.ndarray:
     return lk
 
 
-def hyp3f2_terminating(a1, a2, a3, b1, b2) -> Fraction:
-    """Terminating 3F2(a1, a2, a3; b1, b2; 1) with a1 a nonpositive integer,
-    summed exactly.
-
-    Sums k+1 terms for a1 = -k in Fraction arithmetic; a float parameter is
-    taken at its exact binary value.  Raises PoleError when (b1)_j or (b2)_j
-    vanishes inside the summation range.
-    """
-    a1, a2, a3, b1, b2 = (Fraction(v) for v in (a1, a2, a3, b1, b2))
-    if a1.denominator != 1 or a1 > 0:
-        raise ValueError("a1 must be a nonpositive integer")
-    term = total = Fraction(1)
-    for j in range(-a1.numerator):
-        d1 = b1 + j
-        d2 = b2 + j
-        if d1 == 0 or d2 == 0:
-            raise PoleError(
-                f"denominator Pochhammer vanishes at term {j + 1} "
-                f"(b1={b1}, b2={b2})"
-            )
-        term = term * (a1 + j) * (a2 + j) * (a3 + j) / (d1 * d2 * (j + 1))
-        total += term
-    return total
-
-
 def complex_hermite_coeffs(r: int, s: int) -> dict:
     """Integer coefficient table of h^{r,s}: {(i, j): c} for c * z^i * zbar^j."""
     if r < 0 or s < 0:
@@ -164,12 +132,15 @@ def complex_hermite(r: int, s: int, z: complex) -> complex:
 
 
 def complex_hermite_laguerre(s: int, n: int, z: complex) -> complex:
-    """h^{s+n,s}(z, zbar) through its Laguerre form (-1)^s s! zbar^n L_s^(n)(|z|^2)."""
+    """h^{s+n,s}(z, zbar) through its Laguerre form
+    (-1)^s s! zbar^n L_s^(n)(|z|^2), with L_s^(n) from the recurrence of
+    `laguerre_many`."""
     if s < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     z = complex(z)
     t = abs(z) ** 2
-    return (-1) ** s * math.factorial(s) * z.conjugate() ** n * laguerre(s, n, t)
+    return ((-1) ** s * math.factorial(s) * z.conjugate() ** n
+            * float(laguerre_many(s, n, t)))
 
 
 def _dyadic_grid(z: complex) -> tuple[int, int, int]:

@@ -10,8 +10,11 @@ terminating 3F2 sums.
 
 Eigenvalues come from Sturm multisection on the float Jacobi matrix (tridiag);
 the exact polynomials serve the identity checks.  Exact polynomial
-recurrences run on integers scaled by powers of 2 and divide once at the
-end; evaluation at a float is exact as well and rounds once, so no
+recurrences run on integers scaled by powers of 2: the identity checks
+compare the scaled integer rows 2^n q_n, D_n = 2^n det(x - Q_n) and H_n
+themselves, and `monic_q` and `char_poly` divide once at the end.  The 3F2
+sums have half-integer parameters and run on integers over one common
+denominator.  Evaluation at a float is exact as well and rounds once, so no
 cancellation near a root costs digits.
 """
 
@@ -24,9 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import tridiag
-from .errors import PoleError
 from .report import worst_case
-from .specfun import hyp3f2_terminating, pochhammer_exact
 
 
 class PolyExact:
@@ -124,9 +125,6 @@ class JacobiMatrix:
         k = np.arange(1, self.dim, dtype=float)
         return np.sqrt((k + self.s) / 2.0)
 
-    def offdiag_sq(self, k: int) -> Fraction:
-        return Fraction(k + self.s, 2)
-
 
 def _unscale(coeffs, e: int) -> PolyExact:
     """The polynomial with coefficients c / 2^e, each an int where the
@@ -136,19 +134,25 @@ def _unscale(coeffs, e: int) -> PolyExact:
                       for c in coeffs])
 
 
-def monic_q(n: int, s: int) -> PolyExact:
-    """Monic orthogonal polynomial from q_{k+1} = x q_k - c_k^2 q_{k-1},
-    with q_0 = 1, q_1 = x and c_k^2 = (k+s)/2; exact rational coefficients.
+def scaled_monic_q(n: int, s: int) -> tuple:
+    """2^n q_n as ascending integer coefficients, q_n the monic orthogonal
+    polynomial of q_{k+1} = x q_k - c_k^2 q_{k-1}, q_0 = 1, q_1 = x,
+    c_k^2 = (k+s)/2.
 
     The recurrence runs on the integer polynomials P_k = 2^(k//2) q_k,
-    P_{k+1} = 2^((k+1)//2 - k//2) x P_k - (k+s) P_{k-1}, and divides once at
-    the end.
+    P_{k+1} = 2^((k+1)//2 - k//2) x P_k - (k+s) P_{k-1}.
     """
     if n < 0 or s < 0:
         raise ValueError("need n >= 0 and s >= 0")
     coeffs = _recurrence("monic_q", s, n, ((1,), (0, 1)),
                          lambda k: 2 if k % 2 else 1, lambda k: k + s)
-    return _unscale(coeffs, n // 2)
+    return tuple(c << (n - n // 2) for c in coeffs)
+
+
+def monic_q(n: int, s: int) -> PolyExact:
+    """The monic orthogonal polynomial q_n of `scaled_monic_q`, with exact
+    rational coefficients."""
+    return _unscale(scaled_monic_q(n, s), n)
 
 
 def assoc_hermite(n: int, s: int) -> PolyExact:
@@ -160,19 +164,22 @@ def assoc_hermite(n: int, s: int) -> PolyExact:
                                  lambda k: 2, lambda k: 2 * (s + k)))
 
 
-def char_poly(n: int, s: int) -> PolyExact:
-    """det(x 1_n - Q_n) by expanding along the last row: successive leading
-    principal minors obey d_k = x d_{k-1} - c_{k-1}^2 d_{k-2}.
+def scaled_char_poly(n: int, s: int) -> tuple:
+    """D_n = 2^n det(x 1_n - Q_n) as ascending integer coefficients.
 
-    Runs on the integer minors D_k = 2^k d_k, D_k = 2x D_{k-1} -
-    4 c_{k-1}^2 D_{k-2}, and divides by 2^n once at the end.
+    Expanding along the last row, the leading principal minors obey
+    d_k = x d_{k-1} - c_{k-1}^2 d_{k-2}; the integer minors D_k = 2^k d_k
+    obey D_k = 2x D_{k-1} - 4 c_{k-1}^2 D_{k-2}, with 4 c_k^2 = 2(k+s).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    jm = JacobiMatrix(s, n)
-    minor = _recurrence("char_poly", s, n, ((1,), (0, 2)), lambda k: 2,
-                        lambda k: int(4 * jm.offdiag_sq(k)))
-    return _unscale(minor, n)
+    return _recurrence("char_poly", s, n, ((1,), (0, 2)), lambda k: 2,
+                       lambda k: 2 * (k + s))
+
+
+def char_poly(n: int, s: int) -> PolyExact:
+    """det(x 1_n - Q_n), the D_n of `scaled_char_poly` divided by 2^n once."""
+    return _unscale(scaled_char_poly(n, s), n)
 
 
 def section_eigenvalues(sizes, s: int) -> list:
@@ -274,35 +281,53 @@ def selfadjointness_divergence_test(s: int, n_terms: int) -> DivergenceReport:
                             rate_estimate=rate)
 
 
-def _pole_scan_pochhammer(base: Fraction, count: int, what: str):
-    for j in range(count):
-        if base + j == 0:
-            raise PoleError(f"{what} hits a nonpositive integer at offset {j}")
+def _rising2(p: int, k: int) -> int:
+    """p (p+2) ... (p+2k-2) = 2^k (p/2)_k, the Pochhammer symbol of p/2
+    scaled to an integer."""
+    out = 1
+    for i in range(k):
+        out *= p + 2 * i
+    return out
 
 
-def assoc_laguerre_coeffs(n: int, alpha: Fraction, c: Fraction,
-                          shifted: bool) -> list:
-    """Exact coefficients (in x, ascending) of the associated Laguerre
-    polynomial defined by the terminating 3F2 representation
+def assoc_laguerre_coeffs(n: int, s: int, odd: bool) -> tuple:
+    """(nums, D), D > 0: the coefficients nums[m] / D (in x, ascending) of
+    the associated Laguerre polynomial defined by the terminating 3F2
+    representation
 
       ((alpha+1)_n/n!) sum_m (-n)_m x^m/((c+1)_m (alpha+1)_m)
                               * 3F2(m-n, m-alpha[+1], c; -alpha-n, c+m+1; 1)
 
-    where shifted selects the odd-family numerator m+1-alpha.
+    with c = s/2, and alpha = -1/2 for the even family, alpha = 1/2 and the
+    numerator m+1-alpha for the odd one.
+
+    Every parameter is a multiple of 1/2.  With a = 2 alpha and each
+    Pochhammer symbol written as (p/2)_k = R(p, k)/2^k, R = `_rising2`,
+    coefficient m is
+
+      (-1)^m 4^m R(a+2+2m, n-m) F_m / (2^n (n-m)! R(s+2, m)),
+
+    and the 3F2 sum F_m is summed in integers: its term ratio is
+    (A1+2j)(A2+2j)(s+2j) / (2 (j+1)(B1+2j)(B2+2j)) with A1 = 2(m-n),
+    A2 = 2m-a (+2 when odd), B1 = -a-2n and B2 = s+2m+2, and the terms are
+    gathered from the last back over the product of the ratio
+    denominators.  No denominator vanishes: B1 is odd and B2 positive.
     """
-    alpha = Fraction(alpha)
-    c = Fraction(c)
-    pref = Fraction(pochhammer_exact(alpha + 1, n)) / math.factorial(n)
-    out = []
+    a = 1 if odd else -1
+    pairs = []
     for m in range(n + 1):
-        _pole_scan_pochhammer(c + 1, m, "(c+1)_m")
-        _pole_scan_pochhammer(alpha + 1, m, "(alpha+1)_m")
-        a2 = m - alpha + (1 if shifted else 0)
-        f = hyp3f2_terminating(m - n, a2, c, -alpha - n, c + m + 1)
-        coef = (pref * pochhammer_exact(Fraction(-n), m) * f
-                / (pochhammer_exact(c + 1, m) * pochhammer_exact(alpha + 1, m)))
-        out.append(coef)
-    return out
+        a1, a2 = 2 * (m - n), 2 * m - a + 2 * odd
+        b1, b2 = -a - 2 * n, s + 2 * m + 2
+        num = den = 1
+        for j in reversed(range(n - m)):
+            d = 2 * (j + 1) * (b1 + 2 * j) * (b2 + 2 * j)
+            num = d * den + (a1 + 2 * j) * (a2 + 2 * j) * (s + 2 * j) * num
+            den *= d
+        num *= (-1) ** m * 4 ** m * _rising2(a + 2 + 2 * m, n - m)
+        den *= 2 ** n * math.factorial(n - m) * _rising2(s + 2, m)
+        pairs.append((num, den) if den > 0 else (-num, -den))
+    big_d = math.lcm(*(den for _, den in pairs))
+    return [num * (big_d // den) for num, den in pairs], big_d
 
 
 def assoc_hermite_laguerre_check(n: int, s: int) -> list:
@@ -312,39 +337,35 @@ def assoc_hermite_laguerre_check(n: int, s: int) -> list:
         H_{2n}(x; s)   = sigma_n * Lcal_n^{-1/2}(x^2; s/2)
         H_{2n+1}(x; s) = 2 x sigma_n * L_n^{1/2}(x^2; s/2)
 
-    with sigma_n = (-4)^n (1 + s/2)_n.  Compared coefficient-exactly and at
-    2n + 3 sample points.
+    with sigma_n = (-4)^n (1 + s/2)_n = (-2)^n R(s+2, n), an integer.
+    Compared coefficient-exactly, as the integer rows D H against
+    sigma_n (2x) nums over the common denominator D, and at 2n + 3 sample
+    points.
     """
-    sigma = Fraction((-4) ** n) * pochhammer_exact(Fraction(s + 2, 2), n)
+    sigma = (-2) ** n * _rising2(s + 2, n)
     checks = []
-
-    even_lag = assoc_laguerre_coeffs(n, Fraction(-1, 2), Fraction(s, 2), False)
-    even_poly = [Fraction(0)] * (2 * n + 1)
-    for m, cm in enumerate(even_lag):
-        even_poly[2 * m] = sigma * cm
-    h_even = assoc_hermite(2 * n, s)
-    exact_even = PolyExact(even_poly) == h_even
-    checks.append(worst_case(f"spectral.even_laguerre_factorization.n{n}.s{s}",
-                             0.0, [(float(not exact_even), f"n={n} s={s}")],
-                             2 * n + 1))
-
-    odd_lag = assoc_laguerre_coeffs(n, Fraction(1, 2), Fraction(s, 2), True)
-    odd_poly = [Fraction(0)] * (2 * n + 2)
-    for m, cm in enumerate(odd_lag):
-        odd_poly[2 * m + 1] = 2 * sigma * cm
-    h_odd = assoc_hermite(2 * n + 1, s)
-    exact_odd = PolyExact(odd_poly) == h_odd
-    checks.append(worst_case(f"spectral.odd_laguerre_factorization.n{n}.s{s}",
-                             0.0, [(float(not exact_odd), f"n={n} s={s}")],
-                             2 * n + 2))
+    families = []
+    for odd in (False, True):
+        nums, big_d = assoc_laguerre_coeffs(n, s, odd)
+        h = assoc_hermite(2 * n + odd, s)
+        row = [0] * (2 * n + 1 + odd)
+        for m, num in enumerate(nums):
+            row[2 * m + odd] = (1 + odd) * sigma * num
+        exact = [big_d * c for c in h.coeffs] == row
+        name = "odd" if odd else "even"
+        checks.append(worst_case(
+            f"spectral.{name}_laguerre_factorization.n{n}.s{s}", 0.0,
+            [(float(not exact), f"n={n} s={s}")], len(row)))
+        families.append((h, [num / big_d for num in nums]))
 
     def samples():
         sig = float(sigma)
+        (h_even, even_lag), (h_odd, odd_lag) = families
         for x in (0.3 + 0.4 * j for j in range(2 * n + 3)):
             for h, lag, factor in ((h_even, even_lag, sig),
                                    (h_odd, odd_lag, 2 * x * sig)):
                 lhs = h(x)
-                rhs = factor * sum(float(cm) * x ** (2 * m)
+                rhs = factor * sum(cm * x ** (2 * m)
                                    for m, cm in enumerate(lag))
                 yield (abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)),
                        f"n={n} s={s} x={x:.1f}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -253,11 +252,11 @@ def suite_quantize(seed: int = 20240902) -> list:
                              0.0, band_cases(), 40))
 
     def decomposition_residual(s):
-        # 2 A_{q^2} - 2 A_{z zbar} - A_{z^2} - A_{zbar^2}, in exact arithmetic
+        # 2 A_{q^2} - 2 A_{z zbar} - A_{z^2} - A_{zbar^2}, in exact arithmetic;
+        # the exact bands of A_{q^2} hold 2 A_{q^2}
         zzbar, z2, zbar2 = (quantize.quantize_monomial(a, b, s, "L", 12).exact
                             for a, b in ((1, 1), (2, 0), (0, 2)))
-        rest = {k: [x * 2 for x in d]
-                for k, d in matrices.build_Aq2(s, 12).exact.items()}
+        rest = matrices.build_Aq2(s, 12).exact
         for term in (zzbar, zzbar, z2, zbar2):
             rest = exact_sub(rest, term)
         return exact_max_abs(rest)
@@ -298,11 +297,11 @@ def suite_quantize(seed: int = 20240902) -> list:
 
 def suite_spectral() -> list:
     def routes_differ(n, s):
-        q = spectral.monic_q(n, s)
-        h = spectral.assoc_hermite(n, s)
-        c = spectral.char_poly(n, s)
-        h_scaled = spectral.PolyExact([Fraction(a, 2 ** n) for a in h.coeffs])
-        return float(not (q == c and q == h_scaled and q.is_monic()))
+        # the integer rows 2^n q_n, D_n and H_n; q_n monic means 2^n leads
+        q = spectral.scaled_monic_q(n, s)
+        c = spectral.scaled_char_poly(n, s)
+        h = spectral.assoc_hermite(n, s).coeffs
+        return float(not (q == c == h and q[-1] == 1 << n))
 
     checks = [worst_case("spectral.three_polynomial_routes_coincide", 0.0, (
         (routes_differ(n, s), f"n={n} s={s}")

@@ -82,3 +82,60 @@ def monomial_band(a: int, b: int, s: int, epsilon: str, N: int) -> dict:
                                      math.factorial(n + s + offset)))
         band.append(ExactC(root * ((-1) ** s * total)))
     return {offset: band}
+
+
+class PoleError(ArithmeticError):
+    """A denominator Pochhammer symbol vanishes inside a terminating
+    hypergeometric sum, so the requested closed form is undefined."""
+
+
+def pochhammer_exact(a, k: int):
+    """Rising factorial with int/Fraction arithmetic."""
+    out = Fraction(1)
+    a = Fraction(a)
+    for i in range(k):
+        out *= a + i
+    return out if out.denominator != 1 else out.numerator
+
+
+def hyp3f2_terminating(a1, a2, a3, b1, b2) -> Fraction:
+    """Terminating 3F2(a1, a2, a3; b1, b2; 1) with a1 a nonpositive integer,
+    summed exactly.
+
+    Sums k+1 terms for a1 = -k in Fraction arithmetic; a float parameter is
+    taken at its exact binary value.  Raises PoleError when (b1)_j or (b2)_j
+    vanishes inside the summation range.
+    """
+    a1, a2, a3, b1, b2 = (Fraction(v) for v in (a1, a2, a3, b1, b2))
+    if a1.denominator != 1 or a1 > 0:
+        raise ValueError("a1 must be a nonpositive integer")
+    term = total = Fraction(1)
+    for j in range(-a1.numerator):
+        d1 = b1 + j
+        d2 = b2 + j
+        if d1 == 0 or d2 == 0:
+            raise PoleError(
+                f"denominator Pochhammer vanishes at term {j + 1} "
+                f"(b1={b1}, b2={b2})"
+            )
+        term = term * (a1 + j) * (a2 + j) * (a3 + j) / (d1 * d2 * (j + 1))
+        total += term
+    return total
+
+
+def assoc_laguerre_coeffs(n: int, alpha, c, shifted: bool) -> list:
+    """Fraction coefficients (in x, ascending) of the associated Laguerre
+    polynomial of the terminating 3F2 representation
+
+      ((alpha+1)_n/n!) sum_m (-n)_m x^m/((c+1)_m (alpha+1)_m)
+                              * 3F2(m-n, m-alpha[+1], c; -alpha-n, c+m+1; 1)
+
+    where shifted selects the numerator m+1-alpha: the reference for the
+    integer sums of `spectral.assoc_laguerre_coeffs`."""
+    alpha, c = Fraction(alpha), Fraction(c)
+    pref = Fraction(pochhammer_exact(alpha + 1, n)) / math.factorial(n)
+    return [pref * pochhammer_exact(-n, m)
+            * hyp3f2_terminating(m - n, m - alpha + shifted, c, -alpha - n,
+                                 c + m + 1)
+            / (pochhammer_exact(c + 1, m) * pochhammer_exact(alpha + 1, m))
+            for m in range(n + 1)]

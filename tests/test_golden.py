@@ -81,6 +81,28 @@ def test_spectrum_table_bytes(dim):
     assert _mismatches([table_argv(dim)]) == []
 
 
+def test_a_float_band_left_at_twice_its_value_fails(monkeypatch):
+    from hermquant.matrices import TruncatedOperator
+
+    # the floats rounded from the exact bands of the Jacobi operators, which
+    # hold twice each value, and not halved
+    from_exact = TruncatedOperator.from_exact.__func__
+    monkeypatch.setattr(TruncatedOperator, "from_exact", classmethod(
+        lambda cls, exact, N, band, sector=None, scale=1: from_exact(
+            cls, exact, N, band, sector, 1 if scale == 2 else scale)))
+    doubled = ("Q", "P", "Aq2", "Ap2", "AH", "Hhat")
+    for name in OPERATORS:
+        argvs = [a for fmt in FORMATS for a in operator_argvs(name, fmt)
+                 if a[a.index("--dim") + 1] in ("1", "7")]
+        missed = _mismatches(argvs)
+        if name not in doubled:
+            assert missed == [], name
+        else:
+            # only the zero 1 x 1 sections of Q and P keep their bytes
+            assert len(missed) == len(argvs) - 8 * (name in ("Q", "P")), name
+    assert _mismatches([table_argv(8)]) != []
+
+
 def test_golden_covers_every_invocation():
     assert sorted(_golden()) == sorted(" ".join(a) for a in all_argvs())
 

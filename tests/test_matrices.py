@@ -7,10 +7,11 @@ import pytest
 
 from hermquant import matrices
 from hermquant.exact import (SqrtSum, exact_matmul, exact_max_abs, exact_sub,
-                             sqrt_half, to_complex_array)
+                             to_complex_array)
 from hermquant.ladder import ladder_apply, left
 from hermquant.matrices import (TruncatedOperator, band_matvec, build_A_z,
-                                build_A_zbar, build_AH, build_Aq2, build_Hhat,
+                                build_A_zbar, build_AH, build_Ap2, build_Aq2,
+                                build_Hhat,
                                 build_P, build_Q, eps_sign, operator_csv_rows,
                                 operator_json_obj, verify_almost_canonical,
                                 verify_square_identities,
@@ -104,12 +105,15 @@ def test_exact_identities_at_ten_thousand():
 
 def test_perturbed_jacobi_weight_fails_the_commutator(monkeypatch):
     s = 2
+    weights = matrices._jacobi_weights
 
-    def perturbed(k):
-        bump = SqrtSum(Fraction(1, 1000)) if k == s + 4 else SqrtSum(0)
-        return sqrt_half(k) + bump
+    def perturbed(s, N):
+        # c_4 = sqrt((4 + s)/2) off by 1/1000, in Q and in P
+        w = weights(s, N)
+        w[3] = w[3] + SqrtSum(Fraction(2, 1000))
+        return w
 
-    monkeypatch.setattr(matrices, "sqrt_half", perturbed)
+    monkeypatch.setattr(matrices, "_jacobi_weights", perturbed)
     for epsilon in ("L", "R"):
         check = verify_almost_canonical(s, 10, epsilon)
         assert check.name == f"matrices.commutator_Q_P.{epsilon}.s{s}"
@@ -119,7 +123,7 @@ def test_perturbed_jacobi_weight_fails_the_commutator(monkeypatch):
 def test_band_products_match_dense_products(rng):
     q, p = build_Q(2, 9), build_P(2, 9, "R")
     qp = TruncatedOperator.from_exact(exact_matmul(q.exact, p.exact), 9,
-                                      (-2, 2))
+                                      (-2, 2), scale=4)
     assert np.allclose(qp.entries, q.entries @ p.entries, atol=1e-13)
     c = rng.normal(size=9) + 1j * rng.normal(size=9)
     for op in (q, p, build_Aq2(1, 9), build_A_zbar(0, 9, "L")):
@@ -141,6 +145,40 @@ def test_commutator_float_matches_shifted_identity():
 def test_square_identities_exact(s):
     for check in verify_square_identities(s, 12):
         assert check.passed and check.max_residual == 0.0, check
+
+
+JACOBI_BUILDERS = (build_Q, build_P, build_Aq2, build_Ap2, build_AH,
+                   build_Hhat)
+
+
+@pytest.mark.parametrize("build", JACOBI_BUILDERS)
+def test_jacobi_operators_hold_integer_coefficients_at_twice_their_value(
+        build):
+    for s in range(4):
+        for eps in ("L", "R"):
+            op = build(s, 9, eps)
+            assert op.exact_scale == 2 and op.adjoint().exact_scale == 2
+            for k, d in op.exact.items():
+                assert all(type(q) is int for x in d
+                           for part in (x.re, x.im)
+                           for q in part.terms.values())
+                # each float is the exact half, bit for bit
+                halves = np.array([complex(x) for x in d]) / 2
+                assert np.array_equal(op.bands[k], halves)
+                assert np.array_equal(np.signbit(op.bands[k].view(float)),
+                                      np.signbit(halves.view(float)))
+
+
+def test_jacobi_floats_round_the_rational_weights():
+    # sqrt((k+s)/2) rounded from its exact value with the 1/2 kept as a
+    # Fraction, as the weights were built before they were doubled
+    for s in range(4):
+        q, p = build_Q(s, 40), build_P(s, 40, "R")
+        want = [float(SqrtSum.sqrt(Fraction(k + s, 2))) for k in range(1, 40)]
+        assert q.bands[1].real.tolist() == want
+        assert p.bands[1].imag.tolist() == want
+        assert [x.re for x in q.exact[1]] == [SqrtSum.sqrt(2 * (k + s))
+                                              for k in range(1, 40)]
 
 
 def test_AH_spectrum_is_shifted_integers():

@@ -168,13 +168,15 @@ def test_monomials_equal_the_matrix_builders_exactly(s, eps):
     for (a, b), build in (((1, 0), build_A_z), ((0, 1), build_A_zbar),
                           ((1, 1), build_AH)):
         closed, built = quantize_monomial(a, b, s, eps, 9), build(s, 9, eps)
-        assert closed.exact == built.exact
+        # A_H holds its exact bands at twice their value
+        assert {k: [x * built.exact_scale for x in d]
+                for k, d in closed.exact.items()} == built.exact
         assert np.array_equal(closed.entries, built.entries)
-    # q^2 = (z^2 + zbar^2)/2 + z zbar, doubled to stay on integers
+    # q^2 = (z^2 + zbar^2)/2 + z zbar, doubled to stay on integers; the
+    # exact bands of A_{q^2} hold 2 A_{q^2}
     zzbar, z2, zbar2 = (quantize_monomial(a, b, s, eps, 9).exact
                         for a, b in ((1, 1), (2, 0), (0, 2)))
-    rest = {k: [x * 2 for x in d]
-            for k, d in build_Aq2(s, 9, eps).exact.items()}
+    rest = build_Aq2(s, 9, eps).exact
     for term in (zzbar, zzbar, z2, zbar2):
         rest = exact_sub(rest, term)
     assert exact_max_abs(rest) == 0.0

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermquant.errors import PoleError
 from hermquant.quadrature import gauss_laguerre_rule
 from hermquant.specfun import (binomial_general, complex_hermite,
                                complex_hermite_coeffs, complex_hermite_exact,
                                complex_hermite_laguerre,
-                               complex_hermite_laguerre_exact,
-                               hyp3f2_terminating, laguerre, laguerre_coeffs,
-                               laguerre_many, pochhammer_exact)
+                               complex_hermite_laguerre_exact, laguerre,
+                               laguerre_coeffs, laguerre_many)
 
 from conftest import laguerre_scale, rel_err
+# the Fraction references of the integer 3F2 sums in spectral
+from oracles import PoleError, hyp3f2_terminating, pochhammer_exact
 
 
 def test_pochhammer_empty_product():

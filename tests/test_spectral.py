@@ -13,9 +13,11 @@ from hermquant.spectral import (DiscreteMeasure, JacobiMatrix, PolyExact,
                                 assoc_laguerre_coeffs, carleman_partial_sum,
                                 char_poly, eigenvalues,
                                 golub_welsch, monic_q, orthonormal_values,
+                                scaled_char_poly, scaled_monic_q,
                                 section_eigenvalues,
                                 selfadjointness_divergence_test)
 
+import oracles
 from oracles import charpoly_faddeev
 
 
@@ -194,9 +196,32 @@ def test_laguerre_factorizations(s, n):
 
 def test_laguerre_factorization_degree_zero():
     # H_0 = 1 = sigma_0 * Lcal_0 and H_1 = 2x = 2x sigma_0 * L_0
-    even = assoc_laguerre_coeffs(0, Fraction(-1, 2), Fraction(1, 2), False)
-    odd = assoc_laguerre_coeffs(0, Fraction(1, 2), Fraction(1, 2), True)
-    assert even == [Fraction(1)] and odd == [Fraction(1)]
+    even = assoc_laguerre_coeffs(0, 1, False)
+    odd = assoc_laguerre_coeffs(0, 1, True)
+    assert even == ([1], 1) and odd == ([1], 1)
+
+
+@pytest.mark.parametrize("s", range(9))
+def test_integer_3f2_coefficients_equal_the_fraction_sums(s):
+    for n in range(9):
+        for odd in (False, True):
+            nums, big_d = assoc_laguerre_coeffs(n, s, odd)
+            want = oracles.assoc_laguerre_coeffs(
+                n, Fraction(1 if odd else -1, 2), Fraction(s, 2), odd)
+            assert big_d > 0 and all(type(c) is int for c in nums)
+            assert [Fraction(c, big_d) for c in nums] == want, (n, s, odd)
+            # each float rounds once from the same rational
+            assert [c / big_d for c in nums] == [float(c) for c in want]
+
+
+@pytest.mark.parametrize("s", range(7))
+def test_scaled_rows_are_the_integer_polynomials(s):
+    for n in range(1, 21):
+        q, d = scaled_monic_q(n, s), scaled_char_poly(n, s)
+        assert all(type(c) is int for c in q + d)
+        assert q == d == assoc_hermite(n, s).coeffs
+        assert [Fraction(c, 2 ** n) for c in q] == list(monic_q(n, s).coeffs)
+        assert [Fraction(c, 2 ** n) for c in d] == list(char_poly(n, s).coeffs)
 
 
 def test_laguerre_factorization_classical_reduction():

@@ -13,6 +13,8 @@ from hermquant import verify
 from hermquant.report import CheckResult, worst_case
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+STRUCTURE = Path(__file__).resolve().parent / "data" / \
+    "report_structure_seed5.json"
 
 
 def test_unknown_suite_rejected():
@@ -29,6 +31,64 @@ def test_all_suites_pass_in_fixed_order():
     # the benchmark checks each verify report against this list
     want = (BENCH_DIR / "verify_check_names.txt").read_text().split()
     assert sorted(again) == want
+
+
+def _structure(checks) -> list:
+    """The report without its residuals: (name, tol, n_checked) in order."""
+    return [[c.name, c.tol, c.n_checked] for c in checks]
+
+
+def test_report_structure_is_pinned():
+    # names, order, tolerances and case counts of the seed-5 report, as
+    # stored in tests/data; only the residuals may move
+    want = json.loads(STRUCTURE.read_text())
+    assert len(want) == 150
+    assert _structure(verify.run("all", seed=5)) == want
+
+
+def test_report_structure_pin_sees_a_changed_case_count(monkeypatch):
+    from hermquant import spectral
+
+    # each exact factorization check counts one coefficient fewer
+    monkeypatch.setattr(spectral, "assoc_hermite_laguerre_check", _mutant(
+        spectral, "assoc_hermite_laguerre_check", "len(row))",
+        "len(row) - 1)"))
+    got = _structure(verify.run("all", seed=5))
+    want = json.loads(STRUCTURE.read_text())
+    changed = {w[0] for g, w in zip(got, want) if g != w}
+    assert len(got) == len(want) and len(changed) == 2 * 5 * 5
+    assert all("_laguerre_factorization.n" in name for name in changed)
+
+
+def test_jacobi_and_spectral_checks_build_no_fraction(monkeypatch):
+    """The exact checks on the Jacobi operators and the spectral polynomials
+    run on integers: the spectral suite, the square identities and [Q, P]
+    at s <= 3, and the SI Hamiltonian make no Fraction.  Other exact paths
+    keep theirs: the SI commutator (rationals of two floats), the 1/k! of
+    the nlpb checks, the factorial roots of quantize and the Laguerre
+    coefficients of basis.kernel."""
+    from fractions import Fraction
+
+    from hermquant import matrices, physics
+
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    verify.suite_spectral()
+    for s in range(4):
+        matrices.verify_square_identities(s, 20)
+        for epsilon in ("L", "R"):
+            matrices.verify_almost_canonical(s, 20, epsilon)
+        physics.build_physical_AH(physics.PhysicalParams.dimensionless(), s,
+                                  8)
+    assert made == []
+    # the counter sees a Fraction when one is made
+    assert Fraction(3, 6) == Fraction(1, 2) and len(made) == 2
 
 
 def test_report_json_schema():
@@ -227,8 +287,7 @@ def test_infimum_check_fails_for_a_wrong_identity(monkeypatch):
     # amount, their mean still equals A_H, and the report keeps the witness
     # of the later of the tied worst cases
     monkeypatch.setattr(matrices, "_square_op", _mutant(
-        matrices, "_square_op", "sqrt_half(n + s + 2)",
-        "sqrt_half(n + s + 3)"))
+        matrices, "_square_op", "(n + s + 2))", "(n + s + 3))"))
     squares = {c.name: c for c in matrices.verify_square_identities(3, 20)}
     assert {n for n, c in squares.items() if not c.passed} == {
         "matrices.Aq2_equals_Q2_plus_shift.s3",
@@ -523,8 +582,6 @@ def test_all_report_equals_suites_run_one_by_one(seed):
 
 
 def test_hhat_gap_fails_without_the_ground_shift(monkeypatch):
-    from fractions import Fraction
-
     from hermquant import matrices
     from hermquant.exact import ExactC
 
@@ -532,11 +589,12 @@ def test_hhat_gap_fails_without_the_ground_shift(monkeypatch):
     build = matrices.build_Hhat
 
     def no_shift(s, N, epsilon="L"):
-        # n + s + 1/2 on every level: Hhat without its -(s/2) P0 term
+        # n + s + 1/2 on every level: Hhat without its -(s/2) P0 term, on
+        # the exact bands, which hold 2 Hhat
         diag = list(build(s, N, epsilon).exact[0])
-        diag[0] = diag[0] + ExactC(Fraction(s, 2))
+        diag[0] = diag[0] + ExactC(s)
         return matrices.TruncatedOperator.from_exact({0: diag}, N, (0, 0),
-                                                     (epsilon, s))
+                                                     (epsilon, s), 2)
 
     assert {c.name: c for c in verify.suite_physics()}[name].passed
     monkeypatch.setattr(matrices, "build_Hhat", no_shift)
@@ -560,10 +618,11 @@ def test_polynomial_routes_fail_for_a_wrong_jacobi_weight(monkeypatch):
     from hermquant import spectral
 
     name = "spectral.three_polynomial_routes_coincide"
-    monic_q = spectral.monic_q
+    monic_q = spectral.scaled_monic_q
     # c_k^2 = (k+s+1)/2 in the monic recurrence instead of (k+s)/2
     assert {c.name: c for c in verify.suite_spectral()}[name].passed
-    monkeypatch.setattr(spectral, "monic_q", lambda n, s: monic_q(n, s + 1))
+    monkeypatch.setattr(spectral, "scaled_monic_q",
+                        lambda n, s: monic_q(n, s + 1))
     check = {c.name: c for c in verify.suite_spectral()}[name]
     assert not check.passed and check.witness == "n=20 s=6"
 
@@ -642,16 +701,35 @@ def test_laguerre_factorizations_fail_for_a_wrong_sigma(monkeypatch):
                 if "_laguerre_factorization." in c.name}
 
     assert all(factorizations().values())
-    # sigma_n = (-4)^n (1 + s/2)_{n+1} in place of (1 + s/2)_n
-    right = "pochhammer_exact(Fraction(s + 2, 2), n)"
+    # sigma_n = (-2)^n R(s+2, n+1) in place of (-2)^n R(s+2, n) =
+    # (-4)^n (1 + s/2)_n
+    right = "_rising2(s + 2, n)"
     monkeypatch.setattr(spectral, "assoc_hermite_laguerre_check", _mutant(
         spectral, "assoc_hermite_laguerre_check", right, right[:-1] + " + 1)"))
     verdicts = factorizations()
     assert len(verdicts) == 2 * 5 * 5
-    # the mutation scales sigma by 1 + s/2 + n, which is 1 only at n = s = 0
-    assert {name for name, ok in verdicts.items() if ok} == {
-        "spectral.even_laguerre_factorization.n0.s0",
-        "spectral.odd_laguerre_factorization.n0.s0"}
+    # the mutation scales sigma by s + 2 + 2n, which is never 1
+    assert not any(verdicts.values())
+
+
+def test_laguerre_factorizations_fail_for_an_off_by_one_3f2_start(
+        monkeypatch):
+    from hermquant import spectral
+
+    checks = {c.name: c for c in verify.suite_spectral()
+              if "laguerre_factorization" in c.name}
+    assert len(checks) == 3 * 5 * 5 and all(c.passed for c in checks.values())
+    # (c+1)_j in place of (c)_j in the numerator of the integer 3F2 sum
+    monkeypatch.setattr(spectral, "assoc_laguerre_coeffs", _mutant(
+        spectral, "assoc_laguerre_coeffs", "(s + 2 * j)", "(s + 2 + 2 * j)"))
+    failed = {c.name for c in verify.suite_spectral() if not c.passed}
+    # at n = 0 the sum is empty; from n = 1 on every exact factorization
+    # and every sample check fails
+    assert failed == {f"spectral.{kind}.n{n}.s{s}"
+                      for kind in ("even_laguerre_factorization",
+                                   "odd_laguerre_factorization",
+                                   "laguerre_factorization_samples")
+                      for n in range(1, 5) for s in range(5)}
 
 
 def test_kernel_checks_fail_for_a_conjugated_argument(monkeypatch):
@@ -705,9 +783,9 @@ def test_quantize_checks_fail_for_a_dropped_integral_term(monkeypatch):
     assert not {c.name for c in verify.suite_quantize()
                 if not c.passed} & names
     # the top power of L_r^(alpha) left out of the double sum; the closed
-    # form reads the same integral for every band entry
-    monkeypatch.setattr(quantize, "laguerre_integral", _mutant(
-        quantize, "laguerre_integral", "enumerate(c)", "enumerate(c[:-1])"))
+    # form reads the same row integral for every band entry
+    monkeypatch.setattr(quantize, "_row_integral", _mutant(
+        quantize, "_row_integral", "enumerate(c)", "enumerate(c[:-1])"))
     failed = {c.name: c for c in verify.suite_quantize() if not c.passed}
     assert names <= set(failed)
     assert all(failed[name].max_residual > 0.1 for name in names)
