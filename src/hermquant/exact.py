@@ -1,17 +1,19 @@
-"""Exact arithmetic over the rationals extended by square roots of integers.
+"""Exact arithmetic over the Gaussian rationals extended by square roots of
+integers.
 
 Every ladder coefficient and closed-form matrix entry in this package has the
-shape q*sqrt(d) with q rational and d a small positive integer.  Finite sums
-of such terms form a ring, so operator identities can be checked with residual
-exactly zero instead of "below tolerance".
+shape (a + ib) sqrt(d) with a, b rational and d a small positive integer.
+Finite sums of such terms form a ring, so operator identities can be checked
+with residual exactly zero instead of "below tolerance".  One class, `Surd`,
+holds such a sum as {squarefree d: (a, b)}.
 
-A coefficient q is stored as an int whenever it is integral and as a
-Fraction only where a denominator remains: int arithmetic is about a hundred
-times cheaper than Fraction arithmetic.  Ladder weights are integral
-multiples of a square root, and the Jacobi operators of `matrices`, whose
-weights sqrt((k+s)/2) each carry a 1/2, are held at twice their value, so
-their identity checks build no Fraction.  Fractions remain where a value has
-a denominator of its own: the SI commutator of `physics` (rationals of two
+A coefficient is stored as an int whenever it is integral and as a Fraction
+only where a denominator remains: int arithmetic is about a hundred times
+cheaper than Fraction arithmetic.  Ladder weights are integral multiples of
+a square root, and the Jacobi operators of `matrices`, whose weights
+sqrt((k+s)/2) each carry a 1/2, are held at twice their value, so their
+identity checks build no Fraction.  Fractions remain where a value has a
+denominator of its own: the SI commutator of `physics` (rationals of two
 floats), the factorial roots of `quantize` and the 1/k! of the nlpb checks
 in `ladder`.
 """
@@ -27,15 +29,18 @@ import numpy as np
 _TRIAL_LIMIT = 100_000  # radicands here are smooth; see _split_square
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=1 << 14)
 def _split_square(d: int) -> tuple[int, int]:
     """Return (k, r) with d = k**2 * r and r squarefree.
 
     Works by trial division; inputs in this package are products of small
     integers and factorials, so all prime factors are tiny.  A cap plus a
     perfect-square check keeps pathological inputs from spinning.  Every
-    ladder and Jacobi weight is the root of a small integer, so the same
-    radicands recur thousands of times and results are memoised.
+    ladder and Jacobi weight is the root of a small integer (`matrices`
+    takes each weight from factors below N + s + 2), so the same radicands
+    recur thousands of times and results are memoised.  The cache holds
+    the radicands of one identity check at N = 10^4, about 10^4, and takes
+    about 3 MB when full.
     """
     if d <= 0:
         raise ValueError("radicand must be positive")
@@ -83,195 +88,170 @@ def _rational(q):
     return q.numerator if q.denominator == 1 else q
 
 
-class SqrtSum:
-    """A finite sum sum_d q_d * sqrt(d), q_d rational, d squarefree positive.
+def _new(terms: dict) -> "Surd":
+    obj = object.__new__(Surd)
+    obj.terms = terms
+    return obj
 
-    terms maps d to q_d; no q_d is zero, and an integral q_d is an int.
-    Values are never mutated, so results may share a term dict or an
-    operand.
+
+def _put(out: dict, d: int, re, im) -> None:
+    """Store the coefficient re + i im of sqrt(d) in out canonically: as
+    ints when integral, and no entry when both parts vanish."""
+    if type(re) is not int or type(im) is not int:
+        re, im = _rational(re), _rational(im)
+    if re or im:
+        out[d] = (re, im)
+    else:
+        out.pop(d, None)
+
+
+def _term_product(d1: int, x1, y1, d2: int, x2, y2):
+    """(x1 + i y1) sqrt(d1) (x2 + i y2) sqrt(d2) as (d, re, im) with
+    (re + i im) sqrt(d) its value: for squarefree d1 and d2,
+    sqrt(d1 d2) = g sqrt((d1/g)(d2/g)) with g = gcd(d1, d2).  A product
+    with a zero factor is skipped, as most values are real or imaginary."""
+    g = gcd(d1, d2)
+    d = (d1 // g) * (d2 // g)
+    if not (y1 or y2):
+        re, im = x1 * x2, 0
+    elif not (x1 or x2):
+        re, im = -(y1 * y2), 0
+    elif not (y1 or x2):
+        re, im = 0, x1 * y2
+    elif not (x1 or y2):
+        re, im = 0, y1 * x2
+    else:
+        re, im = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+    if g != 1:
+        re, im = re * g, im * g
+    return d, re, im
+
+
+class Surd:
+    """A finite sum sum_d (a_d + i b_d) sqrt(d): a_d, b_d rational, d
+    squarefree positive.
+
+    terms maps d to the pair (a_d, b_d); the two are never both zero, and
+    an integral one is an int.  Values are never mutated, so results may
+    share a term dict or an operand.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, value=0):
-        if isinstance(value, SqrtSum):
-            self.terms = dict(value.terms)
-        else:
-            q = _rational(value)
-            self.terms = {1: q} if q else {}
+    def __init__(self, re=0, im=0):
+        re, im = _rational(re), _rational(im)
+        self.terms = {1: (re, im)} if re or im else {}
 
     @classmethod
-    def _from_terms(cls, terms: dict) -> "SqrtSum":
-        obj = cls.__new__(cls)
-        obj.terms = {d: _rational(q) for d, q in terms.items() if q}
-        return obj
-
-    @classmethod
-    def sqrt(cls, x) -> "SqrtSum":
+    def sqrt(cls, x) -> "Surd":
         """Exact sqrt of a nonnegative rational: sqrt(p/q) = sqrt(p*q)/q."""
         x = _rational(x)
         if x < 0:
             raise ValueError("sqrt of negative rational")
-        if x == 0:
-            return cls(0)
         if type(x) is int:
+            if not x:
+                return _ZERO
             k, rad = _split_square(x)
-            return cls._from_terms({rad: k})
+            return _new({rad: (k, 0)})
         k, rad = _split_square(x.numerator * x.denominator)
-        return cls._from_terms({rad: Fraction(k, x.denominator)})
+        return _new({rad: (Fraction(k, x.denominator), 0)})
 
-    def __add__(self, other):
-        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
-        if not other.terms:
+    def __add__(self, other, sign: int = 1) -> "Surd":
+        """self + other, or self - other for sign -1."""
+        other = other if type(other) is Surd else Surd(other)
+        a, b = self.terms, other.terms
+        if not b:
             return self
-        if not self.terms:
-            return other
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            (d1, q1), = self.terms.items()
-            (d2, q2), = other.terms.items()
-            if d1 == d2:
-                return SqrtSum._from_terms({d1: q1 + q2})
-            obj = SqrtSum.__new__(SqrtSum)
-            obj.terms = {d1: q1, d2: q2}
-            return obj
-        terms = dict(self.terms)
-        for d, q in other.terms.items():
-            terms[d] = terms[d] + q if d in terms else q
-        return SqrtSum._from_terms(terms)
+        if not a:
+            return other if sign > 0 else -other
+        if sign < 0 and a == b:  # the residual of an identity that holds
+            return _ZERO
+        out = dict(a)
+        for d, (x, y) in b.items():
+            if sign < 0:
+                x, y = -x, -y
+            if d in out:
+                u, v = out[d]
+                _put(out, d, u + x, v + y)
+            else:
+                out[d] = (x, y)
+        return _new(out)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        obj = SqrtSum.__new__(SqrtSum)
-        obj.terms = {d: -q for d, q in self.terms.items()}
-        return obj
-
     def __sub__(self, other):
-        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
-        terms = dict(self.terms)
-        for d, q in other.terms.items():
-            terms[d] = terms[d] - q if d in terms else -q
-        return SqrtSum._from_terms(terms)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return SqrtSum(other) - self
+        return Surd(other) - self
+
+    def __neg__(self):
+        return _new({d: (-x, -y) for d, (x, y) in self.terms.items()})
+
+    def conjugate(self) -> "Surd":
+        return _new({d: (x, -y) for d, (x, y) in self.terms.items()})
 
     def __mul__(self, other):
-        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
+        out: dict = {}
+        if type(other) is int:
+            for d, (x, y) in self.terms.items():
+                _put(out, d, x * other, y * other)
+            return _new(out)
+        other = other if type(other) is Surd else Surd(other)
         a, b = self.terms, other.terms
-        if not a or not b:
-            return _ZERO
-        # d1, d2 squarefree: sqrt(d1 d2) = g sqrt((d1/g)(d2/g)), g = gcd
-        if len(a) == 1 and len(b) == 1:
-            (d1, q1), = a.items()
-            (d2, q2), = b.items()
-            g = gcd(d1, d2)
-            return SqrtSum._from_terms({(d1 // g) * (d2 // g): q1 * q2 * g})
-        terms: dict = {}
-        for d1, q1 in a.items():
-            for d2, q2 in b.items():
-                g = gcd(d1, d2)
-                rad = (d1 // g) * (d2 // g)
-                terms[rad] = terms.get(rad, 0) + q1 * q2 * g
-        return SqrtSum._from_terms(terms)
+        if len(a) == 1 == len(b):
+            # the common case; a product of two nonzero terms is nonzero
+            (d1, (x1, y1)), = a.items()
+            (d2, (x2, y2)), = b.items()
+            d, re, im = _term_product(d1, x1, y1, d2, x2, y2)
+            if type(re) is not int or type(im) is not int:
+                re, im = _rational(re), _rational(im)
+            return _new({d: (re, im)})
+        acc: dict = {}
+        for d1, (x1, y1) in a.items():
+            for d2, (x2, y2) in b.items():
+                d, re, im = _term_product(d1, x1, y1, d2, x2, y2)
+                if d in acc:
+                    u, v = acc[d]
+                    re, im = u + re, v + im
+                acc[d] = (re, im)
+        for d, (re, im) in acc.items():
+            _put(out, d, re, im)
+        return _new(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
+        other = other if type(other) is Surd else Surd(other)
         return self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
 
-    def __float__(self):
-        return float(sum(float(q) * _root(d) for d, q in self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for d in sorted(self.terms):
-            q = self.terms[d]
-            parts.append(str(q) if d == 1 else f"{q}*sqrt({d})")
-        return " + ".join(parts)
-
-
-_ZERO = SqrtSum(0)
-
-
-class ExactC:
-    """Complex number with SqrtSum real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, SqrtSum) else SqrtSum(re)
-        self.im = im if isinstance(im, SqrtSum) else SqrtSum(im)
-
-    @classmethod
-    def _coerce(cls, x) -> "ExactC":
-        if isinstance(x, ExactC):
-            return x
-        if isinstance(x, SqrtSum):
-            return cls(x)
-        return cls(SqrtSum(x))
-
-    def __add__(self, other):
-        o = ExactC._coerce(other)
-        return ExactC(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactC(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = ExactC._coerce(other)
-        return ExactC(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return ExactC._coerce(other) - self
-
-    def __mul__(self, other):
-        o = ExactC._coerce(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        # a real factor skips the two products that vanish
-        if not b.terms:
-            return ExactC(a * c, a * d) if d.terms else ExactC(a * c)
-        if not d.terms:
-            return ExactC(a * c, b * c)
-        if not a.terms and not c.terms:
-            return ExactC(-(b * d))
-        return ExactC(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ExactC":
-        return ExactC(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = ExactC._coerce(other)
-        return self.re == o.re and self.im == o.im
-
-    def __bool__(self):
-        return bool(self.re.terms or self.im.terms)
-
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        """Each part rounds as the float sum of float(q) * sqrt(d) over its
+        terms, taken in ascending d."""
+        t = self.terms
+        if len(t) == 1:
+            (d, (x, y)), = t.items()
+            r = _root(d)
+            return complex(0.0 + float(x) * r, 0.0 + float(y) * r)
+        t = sorted(t.items())
+        return complex(float(sum(float(x) * _root(d) for d, (x, _) in t if x)),
+                       float(sum(float(y) * _root(d) for d, (_, y) in t if y)))
 
     def __repr__(self):
-        return f"({self.re!r}) + ({self.im!r})i"
+        return " + ".join(f"({x} + {y}i)*sqrt({d})"
+                          for d, (x, y) in sorted(self.terms.items())) or "0"
+
+
+_ZERO = Surd()
 
 
 # A band matrix is a dict {offset k: diagonal j - i = k}; the diagonal of an
 # n x n matrix at offset k has n - |k| entries in numpy's np.diagonal order,
 # entry t sitting at row t + max(0, -k), column t + max(0, k).  Offsets absent
-# from the dict are zero.  The exact band functions below take lists of ExactC.
+# from the dict are zero.  The exact band functions below take lists of Surd.
 
 
 def exact_matmul(a: dict, b: dict) -> dict:
@@ -284,7 +264,7 @@ def exact_matmul(a: dict, b: dict) -> dict:
             k = ka + kb
             if abs(k) >= n:
                 continue
-            acc = out.setdefault(k, [ExactC()] * (n - abs(k)))
+            acc = out.setdefault(k, [_ZERO] * (n - abs(k)))
             ra, rb, rc = max(0, -ka), max(0, -kb), max(0, -k)
             for i in range(max(ra, rc), min(n, n - ka, n - k)):
                 x, y = da[i - ra], db[i + ka - rb]
@@ -296,7 +276,7 @@ def exact_matmul(a: dict, b: dict) -> dict:
 def exact_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, d in b.items():
-        out[k] = [x - y for x, y in zip(out.get(k, [ExactC()] * len(d)), d)]
+        out[k] = [x - y for x, y in zip(out.get(k, [_ZERO] * len(d)), d)]
     return out
 
 

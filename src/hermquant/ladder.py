@@ -20,7 +20,7 @@ states them and as the tests check these rules against, A_L and A_L! act by
 
 and the right-handed operators by the L <-> R mirror J.  Each generator
 sends a state to one state, so a word is folded on (r, q) with the product
-of its integer squared weights, and its image takes one exact SqrtSum root.
+of its integer squared weights, and its image takes one exact Surd root.
 All coefficients are exact, so every identity check below reports a
 residual that is exactly zero or a genuine failure.
 """
@@ -33,12 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import SqrtSum
+from .exact import Surd
 from .report import CheckResult, worst_case
 
-# shared constants: SqrtSum values are never mutated
-_ZERO = SqrtSum(0)
-_ONE = SqrtSum(1)
+# shared constants: Surd values are never mutated
+_ZERO = Surd(0)
+_ONE = Surd(1)
 
 
 class SectorIndex(NamedTuple):
@@ -86,15 +86,15 @@ def mirror_index(idx: SectorIndex) -> SectorIndex:
     return SectorIndex(idx.q, idx.r)
 
 
-# A WeightedIndexSum is a dict {SectorIndex: SqrtSum}; {} encodes annihilation.
+# A WeightedIndexSum is a dict {SectorIndex: Surd}; {} encodes annihilation.
 WeightedIndexSum = dict
 
 
 # the roots of squared word weights: verify's ladder and nlpb suites take
 # about 560 distinct ones
 @lru_cache(maxsize=4096)
-def _sq(k: int) -> SqrtSum:
-    return SqrtSum.sqrt(k)
+def _sq(k: int) -> Surd:
+    return Surd.sqrt(k)
 
 
 # the generators on the Hermite indices: (r, q) -> (r', q', w^2) for the
@@ -170,7 +170,7 @@ def sum_sub(a: WeightedIndexSum, b: WeightedIndexSum) -> WeightedIndexSum:
 
 def sum_residual(diff: WeightedIndexSum) -> float:
     """Largest coefficient magnitude; exactly 0.0 iff the sum is empty."""
-    return max((abs(float(c)) for c in diff.values()), default=0.0)
+    return max((abs(complex(c)) for c in diff.values()), default=0.0)
 
 
 def basis_window(n_max: int, s_max: int):
@@ -223,7 +223,7 @@ def verify_commutators_full(n_max: int, s_max: int) -> list:
                         lambda i: ladder_apply("NL", i), window),
         _check_identity("ladder.NL_eigenvalue_on_left_sector",
                         lambda i: ladder_apply("NL", i),
-                        lambda i: {i: SqrtSum(i.n + i.s)} if (i.n + i.s) else {},
+                        lambda i: {i: Surd(i.n + i.s)} if (i.n + i.s) else {},
                         [i for i in window if i.kind != "R"]),
         _check_identity("ladder.commutator_NL_AR_vanishes",
                         lambda i: commutator("NL", "AR", i), zero, window),
@@ -241,7 +241,7 @@ def verify_commutators_full(n_max: int, s_max: int) -> list:
     return checks
 
 
-def _pair_weight(op: str, idx: SectorIndex) -> SqrtSum:
+def _pair_weight(op: str, idx: SectorIndex) -> Surd:
     img = ladder_apply(op, idx)
     acc = _ZERO
     for c in img.values():
@@ -249,7 +249,7 @@ def _pair_weight(op: str, idx: SectorIndex) -> SqrtSum:
     return acc
 
 
-def _scale(idx: SectorIndex, c: SqrtSum) -> WeightedIndexSum:
+def _scale(idx: SectorIndex, c: Surd) -> WeightedIndexSum:
     return {idx: c} if c else {}
 
 
@@ -257,12 +257,12 @@ def norm_squared(vec: WeightedIndexSum) -> Fraction:
     """Exact squared norm of a weighted index sum (basis is orthonormal)."""
     acc = _ZERO
     for c in vec.values():
-        acc = acc + c * c
-    terms = acc.terms
-    if set(terms) - {1}:
+        acc = acc + c * c.conjugate()
+    re, _ = acc.terms.get(1, (0, 0))
+    if set(acc.terms) - {1}:
         raise ArithmeticError("squared norm should be rational")
     # a Fraction even when integral, so that a ratio of norms stays exact
-    return Fraction(terms.get(1, 0))
+    return Fraction(re)
 
 
 def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
@@ -296,8 +296,8 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
         for n in range(1, n_max + 1):
             vec_b = apply_word(b_word, vec_b)
             vec_ad = apply_word(adag_word, vec_ad)
-            want_b = {ground(n): SqrtSum(math.factorial(n))}
-            want_ad = {ground(n): SqrtSum(math.factorial(n) ** 2)}
+            want_b = {ground(n): Surd(math.factorial(n))}
+            want_ad = {ground(n): Surd(math.factorial(n) ** 2)}
             yield sum_residual(sum_sub(vec_b, want_b)), f"n={n} b"
             yield sum_residual(sum_sub(vec_ad, want_ad)), f"n={n} adag"
 
@@ -311,9 +311,9 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
             for op, word, weight in (
                     ("a", a_word, lambda k: Fraction(1, math.factorial(k))),
                     ("bdag", bdag_word, math.factorial)):
-                lhs = apply_word(word, {ground(n): SqrtSum.sqrt(weight(n))})
-                rhs = {ground(n - 1): SqrtSum.sqrt(n ** 3)
-                       * SqrtSum.sqrt(weight(n - 1))}
+                lhs = apply_word(word, {ground(n): Surd.sqrt(weight(n))})
+                rhs = {ground(n - 1): Surd.sqrt(n ** 3)
+                       * Surd.sqrt(weight(n - 1))}
                 yield sum_residual(sum_sub(lhs, rhs)), f"n={n} {op}"
 
     checks.append(worst_case("nlpb.three_halves_power_ladder_rule", 0.0,
@@ -328,16 +328,16 @@ def nlpb_verify(n_max: int, s_max: int | None = None) -> list:
     checks.append(_check_identity(
         "nlpb.M_eigenvalue_cubic_on_ground",
         lambda i: apply_word(b_word + a_word, i),
-        lambda i: _scale(i, SqrtSum(i.s ** 3)),
+        lambda i: _scale(i, Surd(i.s ** 3)),
         [ground(n) for n in range(n_max + 1)]))
 
     # norm ratio ||Psi_n||/||Phi_n|| = n! grows without bound
     def norm_ratios():
         prev = None
         for n in range(0, n_max + 1):
-            num = norm_squared({ground(n): SqrtSum.sqrt(math.factorial(n))})
+            num = norm_squared({ground(n): Surd.sqrt(math.factorial(n))})
             den = norm_squared(
-                {ground(n): SqrtSum.sqrt(Fraction(1, math.factorial(n)))})
+                {ground(n): Surd.sqrt(Fraction(1, math.factorial(n)))})
             ratio_sq = num / den
             ok = (ratio_sq == Fraction(math.factorial(n)) ** 2
                   and (n < 2 or ratio_sq > prev))
@@ -358,7 +358,7 @@ def dual_hamiltonian_verify(n_max: int, s: int) -> list:
     h1_word = ("NR",)
     window = [ground(s)] + [left(n, s) for n in range(1, n_max + 1)] \
         + [right(n, s) for n in range(1, n_max + 1)]
-    plus_one = lambda i: sum_sub(apply_word(("NL",), i), {i: SqrtSum(-1)})
+    plus_one = lambda i: sum_sub(apply_word(("NL",), i), {i: Surd(-1)})
     checks = [
         _check_identity("dual.h2_equals_NL_plus_one",
                         lambda i: apply_word(h2_word, i), plus_one, window),
@@ -385,7 +385,7 @@ def dual_hamiltonian_verify(n_max: int, s: int) -> list:
             want = {left(n - 1, s): _sq(n + s)} if n + s else {}
             yield sum_residual(sum_sub(vec2, want)), f"n={n} vector"
             lhs = apply_word(h2_word, vec2)
-            rhs = {k: SqrtSum(n + s) * c for k, c in vec2.items()}
+            rhs = {k: Surd(n + s) * c for k, c in vec2.items()}
             yield sum_residual(sum_sub(lhs, rhs)), f"n={n} level"
 
     checks.append(worst_case("dual.transformed_eigenvectors_and_levels", 0.0,

@@ -2,16 +2,17 @@
 
 Every operator here is a band matrix of half-width at most 2, so it is stored
 by band: one complex vector per diagonal offset, plus the same diagonals as
-exact ExactC values (rationals plus integer square roots) when built in closed
-form, so algebraic identities among them can be asserted with residual exactly
-zero.  Every Jacobi weight c_k = sqrt((k+s)/2) carries a 1/2, so Q, P,
-A_{q^2}, A_{p^2}, A_H and Hhat hold their exact bands at twice their value,
-with integer coefficients (a Q entry is sqrt(2k)); the float bands are the
-exact halves, and identities among them compare right-hand sides scaled to
-match.  Products and commutators work band by band; a dense N x N array is
-built only on access to `entries` and at export.  Products of truncated
-operators corrupt their last bands; identity checks therefore build at
-dimension N + 2 and compare leading N x N blocks.
+lists of exact `Surd` values (complex rationals times integer square roots)
+when built in closed form, so algebraic identities among them can be asserted
+with residual exactly zero.  Every Jacobi weight c_k = sqrt((k+s)/2) carries
+a 1/2, so Q, P, A_{q^2}, A_{p^2}, A_H and Hhat hold their exact bands at
+twice their value, with integer coefficients (2 c_k = sqrt(2) sqrt(k + s),
+each root taken from its factors); the float bands are the exact halves,
+and identities among them compare right-hand sides scaled to match.
+Products and commutators work band by band (`exact.exact_matmul`); a dense
+N x N array is built only on access to `entries` and at export.  Products
+of truncated operators corrupt their last bands; identity checks therefore
+build at dimension N + 2 and compare leading N x N blocks.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import (ExactC, SqrtSum, exact_adjoint, exact_matmul,
-                    exact_max_abs, exact_sub, to_complex_array)
+from .exact import (Surd, exact_adjoint, exact_matmul, exact_max_abs,
+                    exact_sub, to_complex_array)
 from .report import CheckResult, worst_case
 
 
@@ -44,7 +45,7 @@ class TruncatedOperator:
     layout is described in `exact`); every other entry equals `zero`, which
     is 0j, or 0-0j after a conjugation, as numpy's conj leaves it.  A
     builder stores only band_low <= k <= band_high.  The exact field holds
-    exact_scale times the same diagonals as ExactC lists when available;
+    exact_scale times the same diagonals as Surd lists when available;
     exact_scale is a power of two, so each float is its exact value rounded
     once and then scaled exactly.
     """
@@ -69,7 +70,7 @@ class TruncatedOperator:
     def from_exact(cls, exact: dict, N: int, band: tuple[int, int],
                    sector=None, scale: int = 1) -> "TruncatedOperator":
         """The leading N x N block of the operator whose exact bands, times
-        scale (a power of two), are `exact`: each float is complex(ExactC)
+        scale (a power of two), are `exact`: each float is complex(Surd)
         with both components divided by scale, which is exact.  A list
         shared by two offsets (as in the symmetric builders) is converted
         once."""
@@ -77,7 +78,8 @@ class TruncatedOperator:
         for d in exact.values():
             if id(d) not in conv:
                 f = np.array([complex(x) for x in d], dtype=complex)
-                f.view(float)[:] *= 1 / scale
+                if scale != 1:
+                    f.view(float)[:] *= 1 / scale
                 conv[id(d)] = f
         floats = {k: conv[id(d)] for k, d in exact.items()}
         return cls(N, _leading(floats, N), band[0], band[1], sector,
@@ -117,13 +119,20 @@ def _leading(bands: dict, n: int) -> dict:
     return {k: d[:n - abs(k)] for k, d in bands.items() if abs(k) < n}
 
 
+# Each weight's root is taken from the small integer factors it is built
+# from, so the radicands that `exact` splits stay below N + s + 2 and recur
+# across builders and checks.
+_SQRT2 = Surd.sqrt(2)
+_I = Surd(0, 1)
+
+
 def build_A_z(s: int, N: int, epsilon: str) -> TruncatedOperator:
     """Quantized z on sector (epsilon, s): weighted shift with weights
     sqrt(s+n+1), lowering for 'L' (superdiagonal) and raising for 'R'."""
     if N < 1:
         raise ValueError("N must be positive")
     k = 1 if epsilon == "L" else -1
-    w = [ExactC(SqrtSum.sqrt(s + n + 1)) for n in range(N - 1)]
+    w = [Surd.sqrt(s + n + 1) for n in range(N - 1)]
     return TruncatedOperator.from_exact({k: w}, N, (k, k), (epsilon, s))
 
 
@@ -135,7 +144,7 @@ def build_A_zbar(s: int, N: int, epsilon: str) -> TruncatedOperator:
 def _jacobi_weights(s: int, N: int) -> list:
     """2 c_k = sqrt(2(k+s)) for k = 1..N-1, the off-diagonal of 2Q on the
     N-section, each an integer times a square root."""
-    return [SqrtSum.sqrt(2 * (s + k)) for k in range(1, N)]
+    return [_SQRT2 * Surd.sqrt(s + k) for k in range(1, N)]
 
 
 def build_Q(s: int, N: int, epsilon: str = "L") -> TruncatedOperator:
@@ -143,7 +152,7 @@ def build_Q(s: int, N: int, epsilon: str = "L") -> TruncatedOperator:
     off-diagonal entries sqrt((s+n+1)/2); identical for both sectors.  The
     exact bands hold 2Q."""
     eps_sign(epsilon)
-    w = [ExactC(x) for x in _jacobi_weights(s, N)]
+    w = _jacobi_weights(s, N)
     return TruncatedOperator.from_exact({1: w, -1: w}, N, (-1, 1),
                                         (epsilon, s), 2)
 
@@ -152,21 +161,21 @@ def build_P(s: int, N: int, epsilon: str = "L") -> TruncatedOperator:
     """Momentum operator: antisymmetric imaginary tridiagonal,
     P = (-1)^eps i sum sqrt((s+n+1)/2) (|n><n+1| - |n+1><n|).  The exact
     bands hold 2P."""
-    w = _jacobi_weights(s, N)
-    up, down = [ExactC(0, x) for x in w], [ExactC(0, -x) for x in w]
+    up = [x * _I for x in _jacobi_weights(s, N)]
+    down = [-x for x in up]
     bands = {1: up, -1: down} if eps_sign(epsilon) > 0 else {1: down, -1: up}
     return TruncatedOperator.from_exact(bands, N, (-1, 1), (epsilon, s), 2)
 
 
 def _energy_diagonal(s: int, N: int) -> list:
     """Twice the diagonal n + 2s + 1 of A_H, A_{q^2} and A_{p^2}."""
-    return [ExactC(2 * (n + 2 * s + 1)) for n in range(N)]
+    return [Surd(2 * (n + 2 * s + 1)) for n in range(N)]
 
 
 def _square_op(s: int, N: int, epsilon: str, sign: int) -> TruncatedOperator:
     # 2 c_{n+1} c_{n+2} = sqrt((n+s+1)(n+s+2))
-    w = [SqrtSum.sqrt((n + s + 1) * (n + s + 2)) for n in range(N - 2)]
-    w = [ExactC(x if sign > 0 else -x) for x in w]
+    w = [Surd.sqrt(n + s + 1) * Surd.sqrt(n + s + 2) for n in range(N - 2)]
+    w = w if sign > 0 else [-x for x in w]
     bands = {0: _energy_diagonal(s, N), 2: w, -2: w}
     return TruncatedOperator.from_exact(bands, N, (-2, 2), (epsilon, s), 2)
 
@@ -195,11 +204,11 @@ def build_Hhat(s: int, N: int, epsilon: str = "L") -> TruncatedOperator:
     """(P^2 + Q^2)/2 assembled from the substituted operators: diagonal with
     ground value (s+1)/2 and n + s + 1/2 above it.  The exact bands hold
     2 Hhat."""
-    diag = [ExactC(s + 1)] + [ExactC(2 * n + 2 * s + 1) for n in range(1, N)]
+    diag = [Surd(s + 1)] + [Surd(2 * n + 2 * s + 1) for n in range(1, N)]
     return TruncatedOperator.from_exact({0: diag}, N, (0, 0), (epsilon, s), 2)
 
 
-def commutator_residual(a: dict, b: dict, c: ExactC, s: int, N: int,
+def commutator_residual(a: dict, b: dict, c: Surd, s: int, N: int,
                         scale: int = 1):
     """Largest entry of [A, B] - c (1 + s P_0) on the interior N x N block,
     in exact arithmetic, for exact bands a = alpha A and b = beta B built at
@@ -211,7 +220,7 @@ def commutator_residual(a: dict, b: dict, c: ExactC, s: int, N: int,
     return exact_max_abs(exact_sub(comm, want)) / scale
 
 
-def _commutator_check(name: str, a, b, c: ExactC, s: int, N: int,
+def _commutator_check(name: str, a, b, c: Surd, s: int, N: int,
                       epsilon: str) -> CheckResult:
     """[a, b] = c (1 + s P_0) on the interior N x N block, exactly, with the
     builders a and b called at N + 2."""
@@ -225,13 +234,13 @@ def _commutator_check(name: str, a, b, c: ExactC, s: int, N: int,
 def verify_weyl_commutator(s: int, N: int, epsilon: str) -> CheckResult:
     """[A_z, A_zbar] = (-1)^{eps+1} (1 + s P_0) on the interior block, exactly."""
     return _commutator_check("commutator_Az_Azbar", build_A_z, build_A_zbar,
-                             ExactC(-eps_sign(epsilon)), s, N, epsilon)
+                             Surd(-eps_sign(epsilon)), s, N, epsilon)
 
 
 def verify_almost_canonical(s: int, N: int, epsilon: str) -> CheckResult:
     """[Q, P] = (-1)^{eps+1} i (1 + s P_0) on the interior block, exactly."""
     return _commutator_check("commutator_Q_P", build_Q, build_P,
-                             ExactC(0, -eps_sign(epsilon)), s, N, epsilon)
+                             Surd(0, -eps_sign(epsilon)), s, N, epsilon)
 
 
 def verify_square_identities(s: int, N: int) -> list:
@@ -253,8 +262,8 @@ def verify_square_identities(s: int, N: int) -> list:
 
     def shift(m):
         # m (s + 1/2) 1 + m (s/2) P_0 for m = 2 or 4
-        return {0: [ExactC(m * (3 * s + 1) // 2)]
-                + [ExactC(m * (2 * s + 1) // 2)] * (N - 1)}
+        return {0: [Surd(m * (3 * s + 1) // 2)]
+                + [Surd(m * (2 * s + 1) // 2)] * (N - 1)}
 
     def times(m, a):
         return {k: [x * m for x in d] for k, d in a.items()}

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import poisson_like_pmf
-from .exact import ExactC, SqrtSum, exact_matmul
+from .exact import Surd, exact_matmul
 from .matrices import (TruncatedOperator, build_A_z, build_A_zbar, build_AH,
                        build_Hhat, build_P, build_Q, commutator_residual,
                        eps_sign)
@@ -99,10 +99,10 @@ def zeta_inverse(params: PhysicalParams, z: complex) -> tuple:
 
 def si_scales(params: PhysicalParams) -> tuple:
     """The factors (ell sqrt2, hbar sqrt2 / ell) by which zeta_inverse turns
-    Re z and Im z into q and p, as exact SqrtSum values: hbar and ell enter
+    Re z and Im z into q and p, as exact Surd values: hbar and ell enter
     as the rationals their floats represent, so the product is exactly
     2 hbar."""
-    rt2 = SqrtSum.sqrt(2)
+    rt2 = Surd.sqrt(2)
     ell, hbar = Fraction(params.ell), Fraction(params.hbar)
     return rt2 * ell, rt2 * (hbar / ell)
 
@@ -120,16 +120,16 @@ def si_commutator_residual(params: PhysicalParams, s: int, N: int,
     az = build_A_z(s, N + 2, epsilon).exact
     azbar = build_A_zbar(s, N + 2, epsilon).exact
 
-    def combine(c_z: ExactC, c_zbar: ExactC) -> dict:
+    def combine(c_z: Surd, c_zbar: Surd) -> dict:
         # A_z and A_zbar occupy the opposite offsets +-1, so the bands of
         # c_z A_z + c_zbar A_zbar are those of the two terms side by side
         return {**{k: [c_z * x for x in d] for k, d in az.items()},
                 **{k: [c_zbar * x for x in d] for k, d in azbar.items()}}
 
     half = Fraction(1, 2)
-    q = combine(ExactC(q_scale * half), ExactC(q_scale * half))
-    p = combine(ExactC(0, -p_scale * half), ExactC(0, p_scale * half))
-    c = ExactC(0, -eps_sign(epsilon) * Fraction(params.hbar))
+    q = combine(q_scale * half, q_scale * half)
+    p = combine(p_scale * Surd(0, -half), p_scale * Surd(0, half))
+    c = Surd(0, -eps_sign(epsilon) * Fraction(params.hbar))
     return commutator_residual(q, p, c, s, N)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import _log_phi, cs_coefficients
 from .errors import HintViolation
-from .exact import ExactC, SqrtSum
+from .exact import Surd
 from .matrices import TruncatedOperator, band_matvec, eps_sign
 from .quadrature import QuadratureRule, gauss_laguerre_rule, rule_for
 from .specfun import laguerre_many
@@ -86,9 +86,9 @@ def _band_offset(a: int, b: int, epsilon: str) -> int:
 
 # verify's quantize suite reads 115 of these roots 2,128 times
 @functools.lru_cache(maxsize=1024)
-def _factorial_root(k: int, offset: int) -> SqrtSum:
-    """sqrt(k!/(k+offset)!), exact; SqrtSum values are never mutated."""
-    return SqrtSum.sqrt(Fraction(math.factorial(k),
+def _factorial_root(k: int, offset: int) -> Surd:
+    """sqrt(k!/(k+offset)!), exact; Surd values are never mutated."""
+    return Surd.sqrt(Fraction(math.factorial(k),
                                  math.factorial(k + offset)))
 
 
@@ -104,9 +104,9 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
     with lam = (n+n'+a+b)/2, an integer on the band.  The two-Laguerre
     integral of `laguerre_integral` gives s!^2 times the integral as an
     integer J, and J/(s!(n+s)!) is an integer, so each entry is
-    sqrt((n+s)!/(n'+s)!) times an integer: an exact SqrtSum.  The scaled
+    sqrt((n+s)!/(n'+s)!) times an integer: an exact Surd.  The scaled
     coefficient row of each L_s^(n) and one factorial table are built once
-    per band.  The band is held as ExactC values and each float is rounded
+    per band.  The band is held as Surd values and each float is rounded
     from its exact value.
     """
     if N < 1:
@@ -119,10 +119,9 @@ def quantize_monomial(a: int, b: int, s: int, epsilon: str,
     rows = {alpha: _scaled_laguerre_coeffs(s, alpha)
             for alpha in {*ns, *(n + offset for n in ns)}}
     fact = _factorials(max(ns, default=0) + shift + 2 * s)
-    band = [ExactC(_factorial_root(n + s, offset)
-                   * (_row_integral(n + shift, rows[n], rows[n + offset],
-                                    fact)
-                      // (fact[s] * fact[n + s])))
+    band = [_factorial_root(n + s, offset)
+            * (_row_integral(n + shift, rows[n], rows[n + offset], fact)
+               // (fact[s] * fact[n + s]))
             for n in ns]
     return TruncatedOperator.from_exact({offset: band}, N, (offset, offset),
                                         (epsilon, s))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from functools import partial
 
 import numpy as np
@@ -83,7 +84,7 @@ def _rel(a, b) -> float:
 
 
 def suite_basis(seed: int = 20240901) -> list:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks = [
         worst_case("basis.hermite_family_orthogonality", 1e-8, (
             (hermite_orthogonality_residual(s, 8), f"s={s}")
@@ -95,8 +96,8 @@ def suite_basis(seed: int = 20240901) -> list:
     def hermite_draws():
         for _ in range(100):
             z = _point(rng)
-            s = int(rng.integers(0, 13))
-            n = int(rng.integers(0, 13))
+            s = rng.randrange(13)
+            n = rng.randrange(13)
             yield z, s, n, f"s={s} n={n} z={z:.3f}"
 
     # both forms are summed in exact integers and rounded once from the same
@@ -265,7 +266,7 @@ def suite_quantize(seed: int = 20240902) -> list:
         "quantize.position_square_decomposition", 0.0, (
             (decomposition_residual(s), f"s={s}") for s in range(4))))
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ah = matrices.build_AH(0, 80)
     zs = [_point(rng) for _ in range(6)]
     checks.append(worst_case("quantize.lower_symbol_of_energy", QUAD_TOL, (
@@ -363,7 +364,7 @@ def suite_physics() -> list:
     ]
 
     round_trips = []
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(10):
         q, p = rng.uniform(-1, 1) * 1e-9, rng.uniform(-1, 1) * 1e-24
         q2, p2 = physics.zeta_inverse(par, physics.zeta_map(par, q, p))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hermquant.exact import ExactC, SqrtSum
+from hermquant.exact import Surd, _root
 
 
 def charpoly_faddeev(n: int, s: int) -> list:
@@ -56,7 +56,7 @@ def quad2d_gauss(f, radial_nodes, radial_weights, m_angular: int) -> complex:
 
 
 def monomial_band(a: int, b: int, s: int, epsilon: str, N: int) -> dict:
-    """Exact bands {offset: [ExactC]} of the quantized z^a zbar^b on the
+    """Exact bands {offset: [Surd]} of the quantized z^a zbar^b on the
     N-section of sector (epsilon, s), from the finite sum
 
       (-1)^s sqrt((n+s)!/(n'+s)!) sum_{m=max(0, s-a_-)}^{s} (-1)^m
@@ -78,9 +78,9 @@ def monomial_band(a: int, b: int, s: int, epsilon: str, N: int) -> dict:
                         * math.factorial(m + n)
                         * math.factorial(a_m - s + m))
                     for m in range(max(0, s - a_m), s + 1))
-        root = SqrtSum.sqrt(Fraction(math.factorial(n + s),
-                                     math.factorial(n + s + offset)))
-        band.append(ExactC(root * ((-1) ** s * total)))
+        root = Surd.sqrt(Fraction(math.factorial(n + s),
+                                  math.factorial(n + s + offset)))
+        band.append(root * ((-1) ** s * total))
     return {offset: band}
 
 
@@ -139,3 +139,157 @@ def assoc_laguerre_coeffs(n: int, alpha, c, shifted: bool) -> list:
                                  c + m + 1)
             / (pochhammer_exact(c + 1, m) * pochhammer_exact(alpha + 1, m))
             for m in range(n + 1)]
+
+
+# The two-class exact layer that `exact.Surd` replaced, kept as the
+# reference for it: a real SqrtSum is a {d: q} dict, and ExactC holds two.
+# Squares are split by removing square factors, apart from `exact`; the
+# floats round through the same `_root`.
+
+
+def split_square(d: int) -> tuple:
+    """(k, r) with d = k^2 r, r squarefree, by removing square factors."""
+    k, p = 1, 2
+    while p * p <= d:
+        while d % (p * p) == 0:
+            d //= p * p
+            k *= p
+        p += 1
+    return k, d
+
+
+def _rational(q):
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+class SqrtSum:
+    """A finite sum sum_d q_d * sqrt(d), q_d rational, d squarefree positive;
+    terms maps d to q_d, no q_d is zero, and an integral q_d is an int."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, value=0):
+        if isinstance(value, SqrtSum):
+            self.terms = dict(value.terms)
+        else:
+            q = _rational(value)
+            self.terms = {1: q} if q else {}
+
+    @classmethod
+    def _from_terms(cls, terms: dict) -> "SqrtSum":
+        obj = cls.__new__(cls)
+        obj.terms = {d: _rational(q) for d, q in terms.items() if q}
+        return obj
+
+    @classmethod
+    def sqrt(cls, x) -> "SqrtSum":
+        """sqrt(p/q) = sqrt(p*q)/q."""
+        x = _rational(x)
+        if x < 0:
+            raise ValueError("sqrt of negative rational")
+        if x == 0:
+            return cls(0)
+        if type(x) is int:
+            k, rad = split_square(x)
+            return cls._from_terms({rad: k})
+        k, rad = split_square(x.numerator * x.denominator)
+        return cls._from_terms({rad: Fraction(k, x.denominator)})
+
+    def __add__(self, other):
+        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
+        terms = dict(self.terms)
+        for d, q in other.terms.items():
+            terms[d] = terms[d] + q if d in terms else q
+        return SqrtSum._from_terms(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return SqrtSum._from_terms({d: -q for d, q in self.terms.items()})
+
+    def __sub__(self, other):
+        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
+        terms = dict(self.terms)
+        for d, q in other.terms.items():
+            terms[d] = terms[d] - q if d in terms else -q
+        return SqrtSum._from_terms(terms)
+
+    def __rsub__(self, other):
+        return SqrtSum(other) - self
+
+    def __mul__(self, other):
+        # d1, d2 squarefree: sqrt(d1 d2) = g sqrt((d1/g)(d2/g)), g = gcd
+        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
+        terms: dict = {}
+        for d1, q1 in self.terms.items():
+            for d2, q2 in other.terms.items():
+                g = math.gcd(d1, d2)
+                rad = (d1 // g) * (d2 // g)
+                terms[rad] = terms.get(rad, 0) + q1 * q2 * g
+        return SqrtSum._from_terms(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = other if isinstance(other, SqrtSum) else SqrtSum(other)
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __float__(self):
+        return float(sum(float(q) * _root(d) for d, q in self.terms.items()))
+
+
+class ExactC:
+    """Complex number with SqrtSum real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if isinstance(re, SqrtSum) else SqrtSum(re)
+        self.im = im if isinstance(im, SqrtSum) else SqrtSum(im)
+
+    @classmethod
+    def _coerce(cls, x) -> "ExactC":
+        return x if isinstance(x, ExactC) else cls(x)
+
+    def __add__(self, other):
+        o = ExactC._coerce(other)
+        return ExactC(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ExactC(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = ExactC._coerce(other)
+        return ExactC(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return ExactC._coerce(other) - self
+
+    def __mul__(self, other):
+        o = ExactC._coerce(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return ExactC(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "ExactC":
+        return ExactC(self.re, -self.im)
+
+    def __eq__(self, other):
+        o = ExactC._coerce(other)
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return bool(self.re.terms or self.im.terms)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermquant import ladder
-from hermquant.exact import SqrtSum
+from hermquant.exact import Surd
 from hermquant.ladder import (SectorIndex, apply_word, basis_window,
                               dual_hamiltonian_verify, ground, ladder_apply,
                               left, mirror_index, nlpb_verify, norm_squared,
@@ -20,8 +20,8 @@ def test_absolute_ground_state_annihilated():
 
 
 def test_relative_ground_states_shift_sectors():
-    assert ladder_apply("AL", ground(3)) == {right(1, 2): SqrtSum.sqrt(3)}
-    assert ladder_apply("AR", ground(3)) == {left(1, 2): SqrtSum.sqrt(3)}
+    assert ladder_apply("AL", ground(3)) == {right(1, 2): Surd.sqrt(3)}
+    assert ladder_apply("AR", ground(3)) == {left(1, 2): Surd.sqrt(3)}
 
 
 def test_cross_annihilation_of_opposite_sector():
@@ -30,15 +30,15 @@ def test_cross_annihilation_of_opposite_sector():
 
 
 def test_in_sector_ladder_weights():
-    assert ladder_apply("AL", left(4, 2)) == {left(3, 2): SqrtSum.sqrt(6)}
-    assert ladder_apply("ALdag", left(4, 2)) == {left(5, 2): SqrtSum.sqrt(7)}
+    assert ladder_apply("AL", left(4, 2)) == {left(3, 2): Surd.sqrt(6)}
+    assert ladder_apply("ALdag", left(4, 2)) == {left(5, 2): Surd.sqrt(7)}
 
 
 @pytest.mark.parametrize("s", range(1, 9))
 def test_quadratic_ground_ladders(s):
-    assert apply_word(("AL", "AR"), ground(s)) == {ground(s - 1): SqrtSum(s)}
+    assert apply_word(("AL", "AR"), ground(s)) == {ground(s - 1): Surd(s)}
     assert apply_word(("ARdag", "ALdag"), ground(s)) == \
-        {ground(s + 1): SqrtSum(s + 1)}
+        {ground(s + 1): Surd(s + 1)}
 
 
 def test_invalid_indices_rejected():
@@ -73,15 +73,15 @@ def test_full_commutator_sweep_is_exact():
 
 
 def test_number_operator_eigenvalues():
-    assert ladder_apply("NL", left(3, 2)) == {left(3, 2): SqrtSum(5)}
-    assert ladder_apply("NL", right(3, 2)) == {right(3, 2): SqrtSum(2)}
-    assert ladder_apply("NR", ground(4)) == {ground(4): SqrtSum(4)}
+    assert ladder_apply("NL", left(3, 2)) == {left(3, 2): Surd(5)}
+    assert ladder_apply("NL", right(3, 2)) == {right(3, 2): Surd(2)}
+    assert ladder_apply("NR", ground(4)) == {ground(4): Surd(4)}
 
 
 def test_mirror_involution():
     for idx in (ground(2), left(3, 1), right(1, 0)):
         assert mirror_index(mirror_index(idx)) == idx
-        assert apply_word(("J", "J"), idx) == {idx: SqrtSum(1)}
+        assert apply_word(("J", "J"), idx) == {idx: Surd(1)}
 
 
 def test_adjointness_pairing_on_window():
@@ -91,8 +91,8 @@ def test_adjointness_pairing_on_window():
         up = ladder_apply("ALdag", x)
         for y in window:
             down = ladder_apply("AL", y)
-            lhs = up.get(y, SqrtSum(0))
-            rhs = down.get(x, SqrtSum(0))
+            lhs = up.get(y, Surd(0))
+            rhs = down.get(x, Surd(0))
             assert lhs == rhs, (x, y)
 
 
@@ -113,20 +113,20 @@ def _sector(kind, n, s):
 
 def _AL_sector(kind, n, s):
     if kind == "L":
-        return {_sector("L", n - 1, s): SqrtSum.sqrt(s + n)}
+        return {_sector("L", n - 1, s): Surd.sqrt(s + n)}
     if s == 0:
         return {}
     if kind == "G":
-        return {_sector("R", 1, s - 1): SqrtSum.sqrt(s)}
-    return {_sector("R", n + 1, s - 1): SqrtSum.sqrt(s)}
+        return {_sector("R", 1, s - 1): Surd.sqrt(s)}
+    return {_sector("R", n + 1, s - 1): Surd.sqrt(s)}
 
 
 def _ALdag_sector(kind, n, s):
     if kind == "L":
-        return {_sector("L", n + 1, s): SqrtSum.sqrt(s + n + 1)}
+        return {_sector("L", n + 1, s): Surd.sqrt(s + n + 1)}
     if kind == "G":
-        return {_sector("L", 1, s): SqrtSum.sqrt(s + 1)}
-    return {_sector("R", n - 1, s + 1): SqrtSum.sqrt(s + 1)}
+        return {_sector("L", 1, s): Surd.sqrt(s + 1)}
+    return {_sector("R", n - 1, s + 1): Surd.sqrt(s + 1)}
 
 
 _FLIP = {"L": "R", "G": "G", "R": "L"}
@@ -144,7 +144,7 @@ def _number(sector):
     """N_L (sector 'L') or N_R: s + n on its own sector, s elsewhere."""
     def rule(kind, n, s):
         val = s + n if kind == sector else s
-        return {_sector(kind, n, s): SqrtSum(val)} if val else {}
+        return {_sector(kind, n, s): Surd(val)} if val else {}
     return rule
 
 
@@ -155,7 +155,7 @@ SECTOR_FORM = {
     "ARdag": _mirrored(_ALdag_sector),
     "NL": _number("L"),
     "NR": _number("R"),
-    "J": lambda kind, n, s: {_sector(_FLIP[kind], n, s): SqrtSum(1)},
+    "J": lambda kind, n, s: {_sector(_FLIP[kind], n, s): Surd(1)},
 }
 
 
@@ -185,7 +185,7 @@ def test_sector_form_oracle_fails_for_a_mutated_rule(monkeypatch, op, mutant):
 def test_norm_consistency_raise_then_lower(n, s):
     idx = left(n, s) if n else ground(s)
     once = apply_word(("AL", "ALdag"), idx)
-    assert once == {idx: SqrtSum(s + n + 1)}
+    assert once == {idx: Surd(s + n + 1)}
 
 
 def test_nlpb_suite_exact():
@@ -195,17 +195,17 @@ def test_nlpb_suite_exact():
 
 def test_nlpb_chain_normalizations():
     # b^n on the absolute ground gives n! phi_{0;n}; adjoint chain (n!)^2
-    vec = {ground(0): SqrtSum(1)}
+    vec = {ground(0): Surd(1)}
     for n in range(1, 12):
         vec = apply_word(("ARdag", "ALdag"), vec)
-        assert vec == {ground(n): SqrtSum(math.factorial(n))}
+        assert vec == {ground(n): Surd(math.factorial(n))}
 
 
 def test_nlpb_norm_ratio_growth():
     ratios = []
     for n in range(0, 12):
-        psi = norm_squared({ground(n): SqrtSum.sqrt(math.factorial(n))})
-        phi = norm_squared({ground(n): SqrtSum.sqrt(Fraction(1, math.factorial(n)))})
+        psi = norm_squared({ground(n): Surd.sqrt(math.factorial(n))})
+        phi = norm_squared({ground(n): Surd.sqrt(Fraction(1, math.factorial(n)))})
         ratios.append(psi / phi)
         assert ratios[-1] == Fraction(math.factorial(n)) ** 2
     # strictly increasing from n = 1 on (0! = 1!)
@@ -220,26 +220,26 @@ def test_dual_hamiltonian_suite_exact(s):
 
 def test_dual_hamiltonian_transformed_vector():
     vec = apply_word(("AL", "J"), right(4, 2))
-    assert vec == {left(3, 2): SqrtSum.sqrt(6)}
+    assert vec == {left(3, 2): Surd.sqrt(6)}
 
 
 def test_sum_sub_and_residual():
-    a = {ground(1): SqrtSum(2)}
-    b = {ground(1): SqrtSum(2), left(1, 0): SqrtSum.sqrt(2)}
+    a = {ground(1): Surd(2)}
+    b = {ground(1): Surd(2), left(1, 0): Surd.sqrt(2)}
     diff = sum_sub(a, b)
     assert sum_residual(diff) == pytest.approx(math.sqrt(2))
     assert sum_residual(sum_sub(a, a)) == 0.0
 
 
 def _generator_by_generator(word, idx):
-    """The image of idx under word one generator at a time, with a SqrtSum
+    """The image of idx under word one generator at a time, with a Surd
     product per step: the route a folded word must agree with."""
-    vec = {idx: SqrtSum(1)}
+    vec = {idx: Surd(1)}
     for op in reversed(word):
         out = {}
         for i, c in vec.items():
             for j, w in ladder_apply(op, i).items():
-                out[j] = out.get(j, SqrtSum(0)) + c * w
+                out[j] = out.get(j, Surd(0)) + c * w
         vec = {j: c for j, c in out.items() if c}
     return vec
 
@@ -253,9 +253,9 @@ def test_folded_word_equals_generator_by_generator(word, r, q):
 
 
 def test_word_on_a_sum_scales_each_image():
-    vec = {ground(2): SqrtSum.sqrt(3), left(1, 0): SqrtSum(-2)}
+    vec = {ground(2): Surd.sqrt(3), left(1, 0): Surd(-2)}
     assert apply_word(("ALdag", "NR"), vec) == {
-        left(1, 2): SqrtSum.sqrt(3) * 2 * SqrtSum.sqrt(3)}
-    assert apply_word(("AL",), {ground(0): SqrtSum(5)}) == {}
+        left(1, 2): Surd.sqrt(3) * 2 * Surd.sqrt(3)}
+    assert apply_word(("AL",), {ground(0): Surd(5)}) == {}
     with pytest.raises(ValueError, match="unknown operator 'X'"):
         apply_word(("AL", "X"), left(1, 1))

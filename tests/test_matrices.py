@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hermquant import matrices
-from hermquant.exact import (SqrtSum, exact_matmul, exact_max_abs, exact_sub,
+from hermquant.exact import (Surd, exact_matmul, exact_max_abs, exact_sub,
                              to_complex_array)
 from hermquant.ladder import ladder_apply, left
 from hermquant.matrices import (TruncatedOperator, band_matvec, build_A_z,
@@ -64,7 +64,7 @@ def test_projected_ladder_matches_matrix_builders():
         for n in range(N):
             for idx, c in ladder_apply("AL", left(n, s)).items():
                 if idx.kind in ("L", "G") and idx.s == s and idx.n < N:
-                    m[idx.n, n] = float(c)
+                    m[idx.n, n] = complex(c)
         assert np.allclose(m, build_A_z(s, N, "L").entries)
 
 
@@ -110,7 +110,7 @@ def test_perturbed_jacobi_weight_fails_the_commutator(monkeypatch):
     def perturbed(s, N):
         # c_4 = sqrt((4 + s)/2) off by 1/1000, in Q and in P
         w = weights(s, N)
-        w[3] = w[3] + SqrtSum(Fraction(2, 1000))
+        w[3] = w[3] + Surd(Fraction(2, 1000))
         return w
 
     monkeypatch.setattr(matrices, "_jacobi_weights", perturbed)
@@ -160,8 +160,7 @@ def test_jacobi_operators_hold_integer_coefficients_at_twice_their_value(
             assert op.exact_scale == 2 and op.adjoint().exact_scale == 2
             for k, d in op.exact.items():
                 assert all(type(q) is int for x in d
-                           for part in (x.re, x.im)
-                           for q in part.terms.values())
+                           for pair in x.terms.values() for q in pair)
                 # each float is the exact half, bit for bit
                 halves = np.array([complex(x) for x in d]) / 2
                 assert np.array_equal(op.bands[k], halves)
@@ -174,11 +173,11 @@ def test_jacobi_floats_round_the_rational_weights():
     # Fraction, as the weights were built before they were doubled
     for s in range(4):
         q, p = build_Q(s, 40), build_P(s, 40, "R")
-        want = [float(SqrtSum.sqrt(Fraction(k + s, 2))) for k in range(1, 40)]
+        want = [complex(Surd.sqrt(Fraction(k + s, 2))).real
+                for k in range(1, 40)]
         assert q.bands[1].real.tolist() == want
         assert p.bands[1].imag.tolist() == want
-        assert [x.re for x in q.exact[1]] == [SqrtSum.sqrt(2 * (k + s))
-                                              for k in range(1, 40)]
+        assert q.exact[1] == [Surd.sqrt(2 * (k + s)) for k in range(1, 40)]
 
 
 def test_AH_spectrum_is_shifted_integers():

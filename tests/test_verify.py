@@ -287,7 +287,8 @@ def test_infimum_check_fails_for_a_wrong_identity(monkeypatch):
     # amount, their mean still equals A_H, and the report keeps the witness
     # of the later of the tied worst cases
     monkeypatch.setattr(matrices, "_square_op", _mutant(
-        matrices, "_square_op", "(n + s + 2))", "(n + s + 3))"))
+        matrices, "_square_op", "Surd.sqrt(n + s + 2)",
+        "Surd.sqrt(n + s + 3)"))
     squares = {c.name: c for c in matrices.verify_square_identities(3, 20)}
     assert {n for n, c in squares.items() if not c.passed} == {
         "matrices.Aq2_equals_Q2_plus_shift.s3",
@@ -583,7 +584,7 @@ def test_all_report_equals_suites_run_one_by_one(seed):
 
 def test_hhat_gap_fails_without_the_ground_shift(monkeypatch):
     from hermquant import matrices
-    from hermquant.exact import ExactC
+    from hermquant.exact import Surd
 
     name = "physics.substituted_hamiltonian_first_gap"
     build = matrices.build_Hhat
@@ -592,7 +593,7 @@ def test_hhat_gap_fails_without_the_ground_shift(monkeypatch):
         # n + s + 1/2 on every level: Hhat without its -(s/2) P0 term, on
         # the exact bands, which hold 2 Hhat
         diag = list(build(s, N, epsilon).exact[0])
-        diag[0] = diag[0] + ExactC(s)
+        diag[0] = diag[0] + Surd(s)
         return matrices.TruncatedOperator.from_exact({0: diag}, N, (0, 0),
                                                      (epsilon, s), 2)
 
