@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Run source mutants of hermquant modules against verify and the tests.
 
-Usage: python scripts/mutants.py MODULE [MODULE ...] [--sample K]
-           [--seed S] [--root DIR] [--workdir DIR]
+Usage: python scripts/mutants.py MODULE [MODULE ...] [--root DIR]
+           [--workdir DIR]
 
 A mutant changes one site of a module: a binary or augmented + - * (+ and -
 swap, * becomes +), a unary minus (it becomes a unary plus), one operator of
 a comparison (< and <=, > and >=, == and != swap) or a numeric constant (c
-becomes c + 1).  The sites of each module are listed in source order, and
---sample draws K of them with random.Random(S) (default: every site; S =
-2026).
+becomes c + 1).  Every site of each module is run, in source order.
 
 The mutants run in a copy of src/ and tests/ of the checkout at --root
 (default: this script's own), made under --workdir (default: a temporary
@@ -29,7 +27,6 @@ import argparse
 import ast
 import copy
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -118,23 +115,18 @@ def _passes(args: list, cwd: Path, timeout: float) -> bool:
         return False
 
 
-def run_module(work: Path, module: str, sample: int | None,
-               seed: int) -> tuple:
-    """Run the sampled mutants of one module in the copy at work; returns
+def run_module(work: Path, module: str) -> tuple:
+    """Run the mutants of one module in the copy at work; returns
     (mutants, verify survivors, survivors of both)."""
     path = work / "src" / "hermquant" / f"{module}.py"
     source = path.read_text()
     tree = ast.parse(source)
-    chosen = sites(tree)
-    if sample is not None and sample < len(chosen):
-        chosen = sorted(random.Random(seed).sample(chosen, sample),
-                        key=lambda site: (site.span, site.index))
     tests = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              *(f"tests/{name}" for name in importers(work / "tests", module))]
     lines = source.splitlines()
     counts = [0, 0, 0]
     try:
-        for site in chosen:
+        for site in sites(tree):
             path.write_text(ast.unparse(mutate(tree, site)) + "\n")
             # verify takes about a second and the tests under a minute, so
             # a mutant that makes either far slower is counted as killed
@@ -153,8 +145,6 @@ def run_module(work: Path, module: str, sample: int | None,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("modules", nargs="+")
-    ap.add_argument("--sample", type=int)
-    ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--root", type=Path,
                     default=Path(__file__).resolve().parents[1])
     ap.add_argument("--workdir", type=Path)
@@ -165,7 +155,7 @@ def main(argv=None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(args.root / part, work / part, ignore=skip)
         shutil.copy(args.root / "pyproject.toml", work)
-        totals = {m: run_module(work, m, args.sample, args.seed)
+        totals = {m: run_module(work, m)
                   for m in args.modules}
     for m, (n, alive, both) in totals.items():
         print(f"{m}: {n} mutants, {alive} survive verify, "

@@ -78,8 +78,7 @@ class TruncatedOperator:
         for d in exact.values():
             if id(d) not in conv:
                 f = np.array([complex(x) for x in d], dtype=complex)
-                if scale != 1:
-                    f.view(float)[:] *= 1 / scale
+                f.view(float)[:] *= 1 / scale
                 conv[id(d)] = f
         floats = {k: conv[id(d)] for k, d in exact.items()}
         return cls(N, _leading(floats, N), band[0], band[1], sector,
