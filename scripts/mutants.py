@@ -9,16 +9,19 @@ swap, * becomes +), a unary minus (it becomes a unary plus), one operator of
 a comparison (< and <=, > and >=, == and != swap) or a numeric constant (c
 becomes c + 1).  Every site of each module is run, in source order.
 
-The mutants run in a copy of src/ and tests/ of the checkout at --root
-(default: this script's own), made under --workdir (default: a temporary
-directory); the checkout itself is never written.  Each mutant first runs
+The mutants run in a copy of the checkout at --root (default: this
+script's own), without .git and caches, made under --workdir (default: a
+temporary directory); the checkout itself is never written.  Each mutant
+first runs
 
     python -m hermquant.cli verify --suite all --seed 5
 
 and, if every check passes, pytest on the test files that import the
 module.  A stage that exits nonzero or times out (60 s for verify, 600 s
-for the tests) kills the mutant.  One line is printed per mutant, then the
-counts per module.  Exits 0.
+for the tests) kills the mutant.  Both stages first run on the unmutated
+copy: if either fails there, every mutant would count as killed, so the
+script stops and exits 1.  Otherwise one line is printed per mutant, then
+the counts per module, and it exits 0.
 """
 
 from __future__ import annotations
@@ -123,6 +126,9 @@ def run_module(work: Path, module: str) -> tuple:
     tree = ast.parse(source)
     tests = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              *(f"tests/{name}" for name in importers(work / "tests", module))]
+    if not (_passes(VERIFY, work, 60) and _passes(tests, work, 600)):
+        raise SystemExit(f"{module}: verify or the tests fail without a "
+                         "mutant, so no mutant could survive")
     lines = source.splitlines()
     counts = [0, 0, 0]
     try:
@@ -151,10 +157,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         work = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for part in ("src", "tests"):
-            shutil.copytree(args.root / part, work / part, ignore=skip)
-        shutil.copy(args.root / "pyproject.toml", work)
+        # the tests read files across the checkout (perfbench/,
+        # BENCHMARK.json, README.md, ...), so all of it but git and caches
+        skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
+                                      ".pytest_cache", "results")
+        shutil.copytree(args.root, work, ignore=skip, dirs_exist_ok=True)
         totals = {m: run_module(work, m)
                   for m in args.modules}
     for m, (n, alive, both) in totals.items():

@@ -1,7 +1,16 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hermquant.specfun import laguerre_coeffs
+
+# scripts/mutants.py, whose sites() and mutate() the mutation tests apply
+_spec = importlib.util.spec_from_file_location(
+    "mutants", Path(__file__).resolve().parents[1] / "scripts" / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
 
 
 @pytest.fixture

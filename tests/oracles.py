@@ -141,6 +141,54 @@ def assoc_laguerre_coeffs(n: int, alpha, c, shifted: bool) -> list:
             for m in range(n + 1)]
 
 
+def jacobi_sturm_count(s: int, n: int, a: int, b: int) -> int:
+    """Number of eigenvalues of Q's Jacobi matrix in sector s (zero
+    diagonal, c_k = sqrt((k+s)/2), order n) strictly below x = a/b, b > 0,
+    in integers.
+
+    The leading minors D_k of det(x - J), scaled to P_k = (2b)^k D_k, obey
+    P_k = 2a P_{k-1} - 2(k-1+s) b^2 P_{k-2} (P_0 = 1, P_{-1} = 0), so they are
+    integers.  The sign changes among the nonzero P_0..P_n count the
+    eigenvalues above x (a zero P_k, k < n, sits between minors of opposite
+    sign), and P_n = 0 exactly when x is an eigenvalue.
+    """
+    b2 = 2 * b * b
+    prev, cur, sign, changes = 0, 1, 1, 0
+    for k in range(1, n + 1):
+        prev, cur = cur, 2 * a * cur - (k - 1 + s) * b2 * prev
+        if cur:
+            changes += (cur > 0) != (sign > 0)
+            sign = cur
+    return n - changes - (cur == 0)
+
+
+def christoffel_weights(s: int, n: int, nodes) -> np.ndarray:
+    """1 / sum_{k<n} p_k(x)^2 at each node, rounded to floats from 50
+    digits, with p_k the orthonormal polynomials of Q's Jacobi matrix in
+    sector s: p_k = x p_{k-1} / c_k - (c_{k-1} / c_k) p_{k-2}.  mpmath's
+    exponent range holds every sum, so nothing is rescaled."""
+    from mpmath import libmp, mp, mpf, sqrt
+
+    with mp.workdps(50):
+        prec = mp.prec
+        inv_c = [(1 / sqrt(mpf(k + s) / 2))._mpf_ for k in range(1, n)]
+        ratio = [sqrt(mpf(k - 1 + s) / (k + s))._mpf_ for k in range(1, n)]
+
+    def mul(x, y):
+        return libmp.mpf_mul(x, y, prec, "n")
+
+    out = []
+    for node in np.asarray(nodes, dtype=float).tolist():
+        x = libmp.from_float(node)
+        p_prev, p, total = libmp.fzero, libmp.fone, libmp.fone
+        for ic, r in zip(inv_c, ratio):
+            p_prev, p = p, libmp.mpf_sub(mul(mul(x, p), ic), mul(r, p_prev),
+                                         prec, "n")
+            total = libmp.mpf_add(total, mul(p, p), prec, "n")
+        out.append(libmp.to_float(libmp.mpf_div(libmp.fone, total, prec, "n")))
+    return np.array(out)
+
+
 # The two-class exact layer that `exact.Surd` replaced, kept as the
 # reference for it: a real SqrtSum is a {d: q} dict, and ExactC holds two.
 # Squares are split by removing square factors, apart from `exact`; the

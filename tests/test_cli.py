@@ -628,26 +628,95 @@ def test_import_starts_no_blas_threads():
     assert proc.stdout.split()[1] == "2", proc.stderr
 
 
-def test_spectrum_table_bytes_do_not_depend_on_blas_threads():
-    argv = [sys.executable, "-m", "hermquant.cli", "physics", "table",
-            "--s-max", "4", "--dim", "200"]
-    outs = [subprocess.run(argv, capture_output=True, text=True, timeout=120,
-                           env=cli_env(OPENBLAS_NUM_THREADS=n))
-            for n in ("1", "2")]
-    assert [p.returncode for p in outs] == [0, 0]
-    assert outs[0].stdout == outs[1].stdout
+def _process_and_main_bytes(args, tmp_path, capsys) -> list:
+    """The bytes a `python -m hermquant.cli` process writes to stdout under
+    one and two BLAS threads, the second through --out, and those in-process
+    main writes to stdout and to --out."""
+    outs = []
+    for n in ("1", "2"):
+        out = ["--out", str(tmp_path / "process.txt")] if n == "2" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "hermquant.cli", *args, *out],
+            capture_output=True, timeout=120,
+            env=cli_env(OPENBLAS_NUM_THREADS=n))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outs.append(proc.stdout)
+    assert outs[1] == b""
+    outs[1] = (tmp_path / "process.txt").read_bytes()
+    code, text, _ = run_cli(capsys, *args)
+    assert code == 0
+    outs.append(text.encode())
+    assert main([*args, "--out", str(tmp_path / "main.txt")]) == 0
+    outs.append((tmp_path / "main.txt").read_bytes())
+    return outs
 
 
-def test_spectrum_eigenvalue_bytes_do_not_depend_on_blas_threads():
+def test_spectrum_table_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    # nor on the process entry: `python -m hermquant.cli` writes, to stdout
+    # and to --out, the bytes in-process main writes
+    outs = _process_and_main_bytes(
+        ["physics", "table", "--s-max", "4", "--dim", "200"], tmp_path, capsys)
+    assert outs[0] and outs.count(outs[0]) == 4
+
+
+def test_spectrum_eigenvalue_bytes_do_not_depend_on_blas_threads(tmp_path,
+                                                                 capsys):
     # the LAPACK estimates only place the starting brackets; Sturm counts
     # set the printed digits
-    argv = [sys.executable, "-m", "hermquant.cli", "spectrum", "eigenvalues",
-            "--s", "1", "--dim", "300"]
-    outs = [subprocess.run(argv, capture_output=True, text=True, timeout=120,
-                           env=cli_env(OPENBLAS_NUM_THREADS=n))
-            for n in ("1", "2")]
-    assert [p.returncode for p in outs] == [0, 0]
-    assert outs[0].stdout == outs[1].stdout
+    outs = _process_and_main_bytes(
+        ["spectrum", "eigenvalues", "--s", "1", "--dim", "300"], tmp_path,
+        capsys)
+    assert outs[0] and outs.count(outs[0]) == 4
+
+
+@pytest.mark.parametrize("argv, code, first", [
+    (["spectrum", "eigenvalues", "--s", "0", "--dim", "0"], 2,
+     "error: --dim 0: must be positive"),
+    (["spectrum", "eigenvalues", "--s", "0", "--bogus", "1"], 2,
+     "usage: hermquant "),
+    (["export", "--object", "operator", "--operator", "Q", "--dim", "3",
+      "--out", "/nonexistent/dir/x.csv"], 3, "i/o error: "),
+], ids=["domain-error", "usage-error", "unwritable-out"])
+def test_process_entry_exit_codes(capsys, argv, code, first):
+    # a process exits with the code in-process main returns (or argparse
+    # raises), writes nothing to stdout and the same stderr
+    proc = subprocess.run([sys.executable, "-m", "hermquant.cli", *argv],
+                          capture_output=True, text=True, env=cli_env(),
+                          timeout=60)
+    try:
+        got = run_cli(capsys, *argv)
+    except SystemExit as exc:
+        got = (exc.code, *capsys.readouterr())
+    assert (proc.returncode, proc.stdout, proc.stderr) == got
+    assert got[0] == code and got[2].startswith(first)
+    if code != 2 or first.startswith("error"):
+        assert got[2].count("\n") == 1
+    else:
+        assert got[2].endswith("error: unrecognized arguments: --bogus 1\n")
+
+
+def test_console_script_and_module_share_the_process_entry():
+    import ast
+    import tomllib
+
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert meta["project"]["scripts"] == {"hermquant": "hermquant.cli:run"}
+    tree = ast.parse((ROOT / "src" / "hermquant" / "cli.py").read_text())
+    guard = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for g in guard for stmt in g.body] == ["run()"]
+    # run() freezes the heap only after main returns; atexit handlers still
+    # run afterwards, and the exit code is main's
+    code = ("import atexit, gc, sys, hermquant.cli as c\n"
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0,"
+            " file=sys.stderr))\n"
+            "sys.argv = ['hermquant', 'spectrum', 'eigenvalues', '--s', '0',"
+            " '--dim', '0']\n"
+            "c.run()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --dim 0: must be positive\natexit True\n"
 
 
 # the options of every leaf command, each read by its handler

@@ -11,11 +11,9 @@ Fraction and follows its operation order.
 """
 
 import ast
-import importlib.util
 import inspect
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +22,7 @@ from hypothesis import strategies as st
 from hermquant import exact, matrices
 from hermquant.exact import Surd, _root
 from hermquant.ladder import ground, norm_squared
+from conftest import mutants
 from oracles import ExactC, SqrtSum, split_square
 
 
@@ -280,11 +279,6 @@ def test_root_beyond_the_floats_is_correctly_rounded(d):
     lo, hi = (int(math.nextafter(x, t)) for t in (0.0, math.inf))
     assert (lo + int(x)) ** 2 <= 4 * d <= (int(x) + hi) ** 2
 
-
-_MUTANTS = Path(__file__).resolve().parents[1] / "scripts" / "mutants.py"
-_spec = importlib.util.spec_from_file_location("mutants", _MUTANTS)
-mutants = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutants)
 
 # every sign of the term product: the negated imaginary square, and the
 # minus and plus of the general complex product

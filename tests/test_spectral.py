@@ -140,6 +140,42 @@ def test_poly_value_is_the_rounded_exact_value(coeffs, x):
     assert PolyExact(coeffs)(x) == float(exact)
 
 
+def test_integer_sturm_counts_match_lapack():
+    # at shifts apart from every eigenvalue, and at the eigenvalue 0 of an
+    # odd order, which the strict count leaves out
+    for s in range(3):
+        for n in (1, 2, 5, 9):
+            off = JacobiMatrix(s, n).offdiag()
+            ev = eigh_tridiagonal(np.zeros(n), off, eigvals_only=True)
+            for x in (-2.75, -0.5, 0.0, 0.375, 3.0):
+                a, b = x.as_integer_ratio()
+                want = np.sum(ev < x - 1e-9)
+                assert oracles.jacobi_sturm_count(s, n, a, b) == want
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_eigenvalues_are_certified_by_integer_sturm_counts(s):
+    # tridiag bounds each eigenvalue's error by a backward error of a few
+    # u*||J|| (u = 2^-53), taken here as 4 u*||J|| with ||J|| the Gershgorin
+    # bound; the worst measured is 2.  The interval of that half-width about
+    # eigenvalue i holds exactly the i-th true one when at most i
+    # eigenvalues lie below its lower end and more than i below its upper end
+    for n in (16, 40, 100):
+        lam = eigenvalues(n, s)
+        off = JacobiMatrix(s, n).offdiag()
+        delta = Fraction(4 * 2.0**-53 * np.max(np.r_[off, 0] + np.r_[0, off]))
+
+        def below(x):
+            return oracles.jacobi_sturm_count(s, n, *x.as_integer_ratio())
+
+        def certified(i, x):
+            return below(x - delta) <= i < below(x + delta)
+
+        assert all(certified(i, Fraction(x)) for i, x in enumerate(lam))
+        # the largest eigenvalue moved by twice the bound is not
+        assert not certified(n - 1, Fraction(lam[-1]) + 2 * delta)
+
+
 @pytest.mark.parametrize("s", range(5))
 def test_golub_welsch_measure(s):
     meas = golub_welsch(s, 40)

@@ -1,10 +1,17 @@
+import ast
+import functools
+import inspect
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hermquant import tridiag
+from hermquant import spectral, tridiag
 from hermquant.tridiag import eigenvalues
+
+import oracles
+from conftest import mutants
 
 KINDS = ("generic", "split", "repeated-diagonal", "zero-diagonal")
 
@@ -224,3 +231,59 @@ def test_sturm_counts_of_sections_equal_separate_sweeps():
 def test_sturm_counts_reject_bad_section_orders(sizes):
     with pytest.raises(ValueError, match="section orders"):
         tridiag.sturm_counts(np.zeros(4), np.ones(3), [0.5, 0.5], sizes)
+
+
+@functools.lru_cache(maxsize=None)
+def _christoffel(s: int, n: int):
+    """Golub-Welsch nodes and weights of Q in sector s at order n, and the
+    50-digit weights at the same nodes."""
+    pytest.importorskip("mpmath")
+    meas = spectral.golub_welsch(s, n)
+    return meas.nodes, meas.weights, oracles.christoffel_weights(s, n,
+                                                                 meas.nodes)
+
+
+# orders whose outer weights lie below 1e-200 (3.8e-206 to 1.4e-246), so
+# their sums pass 1e200 and first_component_squared rescales them
+_RESCALED = [(0, 250), (0, 300), (1, 250), (1, 300)]
+
+
+@pytest.mark.parametrize("s, n", _RESCALED)
+def test_rescaled_weights_match_mpmath(s, n):
+    _, got, want = _christoffel(s, n)
+    assert 0 < got.min() < 1e-200
+    assert np.max(np.abs(got / want - 1)) < 1e-12
+
+
+def _rescale_sites() -> list:
+    """The sampler's sites in the rescale block of first_component_squared.
+    The two of its test `total > 1e200` are equivalent mutants (>= differs
+    only at a sum of exactly 1e200, and 1e200 + 1 == 1e200), so they are
+    left out."""
+    tree = ast.parse(textwrap.dedent(
+        inspect.getsource(tridiag.first_component_squared)))
+    block = next(node for node in ast.walk(tree) if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "big.any()")
+    return [site for site in mutants.sites(tree)
+            if block.lineno <= site.span[0] <= block.end_lineno]
+
+
+def test_the_rescale_block_has_eleven_sites():
+    assert len(_rescale_sites()) == 11
+
+
+@pytest.mark.parametrize("site", _rescale_sites(), ids=str)
+def test_a_rescale_mutant_fails(site):
+    tree = mutants.mutate(ast.parse(textwrap.dedent(
+        inspect.getsource(tridiag.first_component_squared))), site)
+    scope = dict(vars(tridiag))
+    exec(compile(tree, tridiag.__file__, "exec"), scope)
+    for s, n in _RESCALED:
+        nodes, _, want = _christoffel(s, n)
+        off = spectral.JacobiMatrix(s, n).offdiag()
+        with np.errstate(all="ignore"):  # a mutant may overflow
+            got = scope["first_component_squared"](np.zeros(n), off, nodes)
+            if not np.max(np.abs(got / want - 1)) < 1e-12:
+                break
+    else:
+        pytest.fail(f"the mutant {site} matches the 50-digit weights")
