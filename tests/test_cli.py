@@ -1,5 +1,6 @@
 import _posixsubprocess
 import argparse
+import ast
 import contextlib
 import importlib.util
 import io
@@ -11,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -696,9 +698,6 @@ def test_process_entry_exit_codes(capsys, argv, code, first):
 
 
 def test_console_script_and_module_share_the_process_entry():
-    import ast
-    import tomllib
-
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert meta["project"]["scripts"] == {"hermquant": "hermquant.cli:run"}
     tree = ast.parse((ROOT / "src" / "hermquant" / "cli.py").read_text())
